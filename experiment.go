@@ -97,13 +97,14 @@ func Run(nw *Network, opts Options) (*Result, error) {
 	}
 	res.Greedy = lp.GreedySequential(nw.graph, nw.paths, zeroBased)
 
-	// Piecewise baselines: one LP per capacity epoch (each cached). For a
-	// static network this is exactly one epoch sharing the cache slot of
-	// the baseline solve above.
+	// Piecewise baselines: one LP per capacity epoch (each cached, LP
+	// only: the fairness allocations above come from the static solve).
+	// For a static network this is exactly one epoch sharing the cache
+	// slot of the baseline solve above.
 	epochStarts := tl.EpochStarts(opts.Duration)
 	epochBase := make([]*lp.Baselines, len(epochStarts))
 	for i, st := range epochStarts {
-		eb, err := lp.CachedBaselinesCaps(nw.graph, nw.paths, tl.CapsAt(st, nw.graph))
+		eb, err := lp.CachedOptimumCaps(nw.graph, nw.paths, tl.CapsAt(st, nw.graph))
 		if err != nil {
 			return nil, fmt.Errorf("mptcpsim: epoch LP at %v: %w", st, err)
 		}

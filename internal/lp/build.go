@@ -187,6 +187,9 @@ func MaxMinCaps(g *topo.Graph, paths []topo.Path, caps Caps) []float64 {
 // sum of log rates) by dual gradient descent on the link prices. It is the
 // equilibrium an idealised fluid model of coupled AIMD flows with equal
 // RTTs approaches, a useful reference for where LIA-style coupling lands.
+// iters is an upper bound on the descent sweeps (<= 0 means 200000); the
+// descent stops early at its exact floating-point fixed point, which
+// returns the same bits as running all iters sweeps (see PropFairCaps).
 func PropFair(g *topo.Graph, paths []topo.Path, iters int) []float64 {
 	return PropFairCaps(g, paths, nil, iters)
 }
@@ -195,6 +198,12 @@ func PropFair(g *topo.Graph, paths []topo.Path, iters int) []float64 {
 // dynamic run). Paths crossing a down link are pinned at zero and their
 // links excluded from the price dynamics — log(0) utility is outside the
 // model, so an outage simply removes the path from the market.
+//
+// A sweep is a pure function of the prices it starts from. Once a sweep
+// leaves every price unchanged (each updated and clamped price compares
+// == to the old one), every later sweep repeats it exactly, so the
+// descent stops there: the result is bit-identical to running all iters
+// sweeps. The paper network gets there in about 15k sweeps.
 func PropFairCaps(g *topo.Graph, paths []topo.Path, caps Caps, iters int) []float64 {
 	if iters <= 0 {
 		iters = 200000
@@ -269,15 +278,24 @@ func PropFairCaps(g *topo.Graph, paths []topo.Path, caps Caps, iters int) []floa
 		}
 		// Dual: price goes up where demand exceeds capacity.
 		step := 1e-4
+		moved := false
 		for li, us := range usersv {
 			var load float64
 			for _, pi := range us {
 				load += xl[pi]
 			}
-			price[li] += step * (load - capv[li]) / capv[li]
-			if price[li] < 1e-9 {
-				price[li] = 1e-9
+			p := price[li] + step*(load-capv[li])/capv[li]
+			if p < 1e-9 {
+				p = 1e-9
 			}
+			if p != price[li] {
+				moved = true
+			}
+			price[li] = p
+		}
+		// Exact fixed point: every later sweep would repeat this one.
+		if !moved {
+			break
 		}
 	}
 	for i, v := range xl {

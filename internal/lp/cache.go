@@ -17,17 +17,23 @@ type Baselines struct {
 	ProblemString string
 	// Solution is the LP optimum; Status is always Optimal.
 	Solution Solution
-	// MaxMin and PropFair are the fairness reference allocations.
+	// MaxMin and PropFair are the fairness reference allocations. They
+	// are nil on an LP-only lookup (CachedOptimumCaps), which is what
+	// the per-epoch baselines of a dynamic run use.
 	MaxMin, PropFair []float64
 }
 
 // baselineEntry is one memoised computation; once guarantees each distinct
-// topology is solved exactly once even when many sweep workers miss the
-// cache simultaneously.
+// topology's LP is solved exactly once even when many sweep workers miss
+// the cache simultaneously, and fairOnce does the same for the fairness
+// allocations, which are computed only when a lookup asks for them.
 type baselineEntry struct {
 	once sync.Once
-	b    *Baselines
+	b    *Baselines // LP only: MaxMin and PropFair stay nil
 	err  error
+
+	fairOnce         sync.Once
+	maxMin, propFair []float64
 	// elem is the entry's position in the LRU list; nil once evicted.
 	elem *list.Element
 }
@@ -43,7 +49,8 @@ const DefaultBaselineCacheCap = 512
 // many (CC, scheduler, ordering, seed) combinations; the LP and especially
 // the iterative proportional-fair solve only depend on the
 // capacity/incidence structure, so they are computed once per distinct
-// topology (and, for dynamic runs, per capacity epoch) and shared.
+// topology (and, for dynamic runs, the LP once per capacity epoch) and
+// shared.
 var baselineCache = struct {
 	sync.Mutex
 	m map[string]*baselineEntry
@@ -100,10 +107,25 @@ func CachedBaselines(g *topo.Graph, paths []topo.Path) (*Baselines, error) {
 }
 
 // CachedBaselinesCaps is CachedBaselines under per-link capacity
-// overrides — the baselines of one capacity epoch of a dynamic run. The
-// overridden capacities flow into the canonical problem rendering, so
-// every distinct epoch gets its own cache slot.
+// overrides. The overridden capacities flow into the canonical problem
+// rendering, so every distinct epoch gets its own cache slot. Epoch
+// lookups that need only the LP use CachedOptimumCaps, which skips the
+// fairness solves.
 func CachedBaselinesCaps(g *topo.Graph, paths []topo.Path, caps Caps) (*Baselines, error) {
+	return cachedBaselines(g, paths, caps, true)
+}
+
+// CachedOptimumCaps is CachedBaselinesCaps without the fairness
+// allocations: it returns the LP optimum only, with nil MaxMin and
+// PropFair — the per-epoch baselines of a dynamic run, which score each
+// capacity epoch against its optimum. It shares cache slots with
+// CachedBaselinesCaps: a later full lookup on the same key computes the
+// fairness allocations then, exactly once.
+func CachedOptimumCaps(g *topo.Graph, paths []topo.Path, caps Caps) (*Baselines, error) {
+	return cachedBaselines(g, paths, caps, false)
+}
+
+func cachedBaselines(g *topo.Graph, paths []topo.Path, caps Caps, fair bool) (*Baselines, error) {
 	prob := MaxThroughputCaps(g, paths, caps)
 	key := prob.String()
 	e := lookupEntry(key)
@@ -118,27 +140,31 @@ func CachedBaselinesCaps(g *topo.Graph, paths []topo.Path, caps Caps) (*Baseline
 			e.err = fmt.Errorf("lp: baseline LP not optimal: %v", sol.Status)
 			return
 		}
-		e.b = &Baselines{
-			ProblemString: key,
-			Solution:      sol,
-			MaxMin:        MaxMinCaps(g, paths, caps),
-			PropFair:      PropFairCaps(g, paths, caps, 0),
-		}
+		e.b = &Baselines{ProblemString: key, Solution: sol}
 	})
 	if e.err != nil {
 		return nil, e.err
 	}
 
-	return &Baselines{
+	out := &Baselines{
 		ProblemString: e.b.ProblemString,
 		Solution: Solution{
 			Status:    e.b.Solution.Status,
 			X:         append([]float64(nil), e.b.Solution.X...),
 			Objective: e.b.Solution.Objective,
 		},
-		MaxMin:   append([]float64(nil), e.b.MaxMin...),
-		PropFair: append([]float64(nil), e.b.PropFair...),
-	}, nil
+	}
+	if fair {
+		// The key captures every input of the fairness solves, so
+		// whichever caller gets here first computes them for all.
+		e.fairOnce.Do(func() {
+			e.maxMin = MaxMinCaps(g, paths, caps)
+			e.propFair = PropFairCaps(g, paths, caps, 0)
+		})
+		out.MaxMin = append([]float64(nil), e.maxMin...)
+		out.PropFair = append([]float64(nil), e.propFair...)
+	}
+	return out, nil
 }
 
 // BaselineCacheSize reports how many distinct topologies are cached

@@ -193,3 +193,115 @@ func TestBaselineCacheBounded(t *testing.T) {
 		t.Fatalf("recomputed entry not optimal: %v", b.Solution.Status)
 	}
 }
+
+// sameBits reports whether two allocations are equal element by element
+// under ==.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func TestCachedOptimumCapsLazyFairness(t *testing.T) {
+	ResetBaselineCache()
+	defer ResetBaselineCache()
+	pn := topo.Paper()
+
+	// An LP-only lookup solves the LP and nothing else.
+	opt, err := CachedOptimumCaps(pn.Graph, pn.Paths, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(opt.Solution.Objective-90) > 1e-6 {
+		t.Fatalf("LP optimum = %v, want 90", opt.Solution.Objective)
+	}
+	if opt.MaxMin != nil || opt.PropFair != nil {
+		t.Fatalf("LP-only lookup carried fairness: max-min %v, prop-fair %v", opt.MaxMin, opt.PropFair)
+	}
+
+	// A full lookup on the key the LP-only lookup created still gets both
+	// fairness allocations, bit-equal to direct solves, from the same
+	// cache slot.
+	full, err := CachedBaselines(pn.Graph, pn.Paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := BaselineCacheSize(); n != 1 {
+		t.Fatalf("cache size = %d, want 1 shared slot", n)
+	}
+	if full.ProblemString != opt.ProblemString || !sameBits(full.Solution.X, opt.Solution.X) {
+		t.Fatalf("full lookup LP %v differs from LP-only %v", full.Solution.X, opt.Solution.X)
+	}
+	if mm := MaxMinCaps(pn.Graph, pn.Paths, nil); !sameBits(full.MaxMin, mm) {
+		t.Fatalf("cached max-min %v, direct %v", full.MaxMin, mm)
+	}
+	if pf := PropFairCaps(pn.Graph, pn.Paths, nil, 0); !sameBits(full.PropFair, pf) {
+		t.Fatalf("cached prop-fair %v, direct %v", full.PropFair, pf)
+	}
+
+	// LP-only lookups after a full one still carry no fairness.
+	again, err := CachedOptimumCaps(pn.Graph, pn.Paths, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.MaxMin != nil || again.PropFair != nil {
+		t.Fatal("LP-only lookup on a full entry carried fairness")
+	}
+}
+
+func TestCachedBaselinesSharedKeyRace(t *testing.T) {
+	pn := topo.Paper()
+	// A key no other test uses, so every goroutine races on a cold slot.
+	caps := Caps{pn.Bottlenecks[1]: 37.5}
+	wantMM := MaxMinCaps(pn.Graph, pn.Paths, caps)
+	wantPF := PropFairCaps(pn.Graph, pn.Paths, caps, 0)
+	wantLP, err := MaxThroughputCaps(pn.Graph, pn.Paths, caps).Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 4; round++ {
+		ResetBaselineCache()
+		const n = 16
+		out := make([]*Baselines, n)
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				// Alternate which kind of lookup comes first per round.
+				if (i+round)%2 == 0 {
+					out[i], errs[i] = CachedOptimumCaps(pn.Graph, pn.Paths, caps)
+				} else {
+					out[i], errs[i] = CachedBaselinesCaps(pn.Graph, pn.Paths, caps)
+				}
+			}(i)
+		}
+		wg.Wait()
+		for i, b := range out {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if !sameBits(b.Solution.X, wantLP.X) {
+				t.Fatalf("round %d goroutine %d: LP %v, want %v", round, i, b.Solution.X, wantLP.X)
+			}
+			if (i+round)%2 == 0 {
+				if b.MaxMin != nil || b.PropFair != nil {
+					t.Fatalf("round %d goroutine %d: LP-only lookup carried fairness", round, i)
+				}
+				continue
+			}
+			if !sameBits(b.MaxMin, wantMM) || !sameBits(b.PropFair, wantPF) {
+				t.Fatalf("round %d goroutine %d: fairness %v / %v, want %v / %v",
+					round, i, b.MaxMin, b.PropFair, wantMM, wantPF)
+			}
+		}
+	}
+	ResetBaselineCache()
+}
