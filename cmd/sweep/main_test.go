@@ -12,12 +12,13 @@ import (
 	"testing"
 
 	"mptcpsim"
+	"mptcpsim/internal/cli"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
 func TestDefaultGridShape(t *testing.T) {
-	grid, err := loadGrid("")
+	grid, err := cli.LoadGrid("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestLoadGridResolvesFileReferences(t *testing.T) {
 	if err := os.WriteFile(gridPath, []byte(gridJSON), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	grid, err := loadGrid(gridPath)
+	grid, err := cli.LoadGrid(gridPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestLoadGridMissingFile(t *testing.T) {
 	if err := os.WriteFile(gridPath, []byte(`{"scenarios":[{"file":"absent.json"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadGrid(gridPath); err == nil {
+	if _, err := cli.LoadGrid(gridPath); err == nil {
 		t.Fatal("missing scenario file not reported")
 	}
 }
@@ -152,7 +153,7 @@ func TestRunGolden(t *testing.T) {
 // every CC, every scheduler and both event sets — the scale at which the
 // distributed-determinism contract is enforced on every PR.
 func TestCIShardGridShape(t *testing.T) {
-	grid, err := loadGrid(filepath.Join("testdata", "ci-shard-grid.json"))
+	grid, err := cli.LoadGrid(filepath.Join("testdata", "ci-shard-grid.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +171,10 @@ func TestCIShardGridShape(t *testing.T) {
 }
 
 // TestRunShardMergeGolden drives the CLI seam through shard and merge
-// mode: two shards of the golden grid (artifacts golden-checked for
-// schema stability) merged back must reproduce the exact golden report,
-// CSVs and JSON of the unsharded run — the CLI half of the
-// distributed-determinism contract TestShardMergeByteIdentical proves at
-// the library layer.
+// mode: two streamed shards of the golden grid (-shard k/2 -stream)
+// merged back must reproduce the exact golden report, CSVs and JSON of the
+// unsharded run — the CLI half of the distributed-determinism contract
+// TestShardMergeByteIdentical proves at the library layer.
 func TestRunShardMergeGolden(t *testing.T) {
 	dir := t.TempDir()
 	gridPath := filepath.Join(dir, "grid.json")
@@ -185,23 +185,21 @@ func TestRunShardMergeGolden(t *testing.T) {
 	var shardPaths []string
 	for k := 0; k < 2; k++ {
 		cfg := config{
-			gridPath: gridPath,
-			workers:  k + 1, // artifacts must not depend on worker count
-			quiet:    true,
-			check:    true,
-			shard:    fmt.Sprintf("%d/2", k),
-			outPath:  filepath.Join(dir, fmt.Sprintf("shard-%d.json", k)),
+			gridPath:   gridPath,
+			workers:    k + 1, // run-logs must not depend on worker count
+			quiet:      true,
+			check:      true,
+			shard:      fmt.Sprintf("%d/2", k),
+			streamPath: filepath.Join(dir, fmt.Sprintf("shard-%d.ndjson", k)),
 		}
 		var stdout, stderr bytes.Buffer
 		if err := run(cfg, &stdout, &stderr); err != nil {
 			t.Fatalf("shard %d: %v\nstderr: %s", k, err, stderr.String())
 		}
-		got, err := os.ReadFile(cfg.outPath)
-		if err != nil {
-			t.Fatal(err)
+		if !strings.Contains(stdout.String(), "wrote "+cfg.streamPath) {
+			t.Fatalf("shard %d never announced its run-log:\n%s", k, stdout.String())
 		}
-		compareGolden(t, fmt.Sprintf("shard-%d.json", k), got)
-		shardPaths = append(shardPaths, cfg.outPath)
+		shardPaths = append(shardPaths, cfg.streamPath)
 	}
 
 	cfg := config{
@@ -385,22 +383,19 @@ func TestRunFlagDiagnostics(t *testing.T) {
 		cfg  config
 		want string
 	}{
+		// The name predates the run-log being the only shard artifact:
+		// -shard with no run-log named must point at -stream.
 		"shard without out": {
 			config{gridPath: gridPath, shard: "0/2", quiet: true},
-			"-out",
+			"-stream",
 		},
 		"shard with aggregate output": {
-			config{gridPath: gridPath, shard: "0/2", outPath: filepath.Join(dir, "s.json"),
-				jsonPath: filepath.Join(dir, "x.json"), quiet: true},
+			config{gridPath: gridPath, shard: "0/2", jsonPath: filepath.Join(dir, "x.json"), quiet: true},
 			"-merge",
 		},
 		"bad shard spec": {
-			config{gridPath: gridPath, shard: "2/2", outPath: filepath.Join(dir, "s.json"), quiet: true},
+			config{gridPath: gridPath, shard: "2/2", streamPath: filepath.Join(dir, "s.ndjson"), quiet: true},
 			"out of range",
-		},
-		"out without shard": {
-			config{gridPath: gridPath, outPath: filepath.Join(dir, "s.json"), quiet: true},
-			"-shard",
 		},
 		"merge without artifacts": {
 			config{merge: true},

@@ -228,9 +228,10 @@ func TestRunResumeProgress(t *testing.T) {
 	}
 }
 
-// TestRunStreamShardMixedMerge splits the golden grid into one streamed
-// shard (NDJSON run-log) and one classic shard artifact (JSON), then
-// merges the mix — the output must match the unsharded goldens exactly.
+// TestRunStreamShardMixedMerge splits the golden grid into one shard
+// streamed in a single pass and one that is killed mid-record and
+// finished with -resume, then merges the mix — the output must match the
+// unsharded goldens exactly.
 func TestRunStreamShardMixedMerge(t *testing.T) {
 	dir, gridPath := writeGoldenGrid(t)
 
@@ -244,17 +245,26 @@ func TestRunStreamShardMixedMerge(t *testing.T) {
 		t.Fatalf("streamed shard never announced its artifact:\n%s", stdout.String())
 	}
 
-	classic := config{gridPath: gridPath, workers: 2, quiet: true, check: true,
-		shard: "1/2", outPath: filepath.Join(dir, "shard-1.json")}
-	stdout.Reset()
-	stderr.Reset()
-	if err := run(classic, &stdout, &stderr); err != nil {
-		t.Fatalf("classic shard: %v\nstderr: %s", err, stderr.String())
+	resumed := config{gridPath: gridPath, workers: 2, quiet: true, check: true,
+		shard: "1/2", streamPath: filepath.Join(dir, "shard-1.ndjson")}
+	for _, pass := range []string{"stream", "resume"} {
+		stdout.Reset()
+		stderr.Reset()
+		if err := run(resumed, &stdout, &stderr); err != nil {
+			t.Fatalf("%s shard: %v\nstderr: %s", pass, err, stderr.String())
+		}
+		if pass == "stream" {
+			truncateMidRecord(t, resumed.streamPath)
+			resumed.resumePath, resumed.streamPath = resumed.streamPath, ""
+		}
+	}
+	if !strings.Contains(stderr.String(), "torn trailing record") {
+		t.Fatalf("resumed shard never announced the torn tail:\n%s", stderr.String())
 	}
 
 	merge := config{
 		merge:      true,
-		shardPaths: []string{streamed.streamPath, classic.outPath},
+		shardPaths: []string{streamed.streamPath, resumed.resumePath},
 		csvPath:    filepath.Join(dir, "runs.csv"),
 		groupsPath: filepath.Join(dir, "groups.csv"),
 		jsonPath:   filepath.Join(dir, "sweep.json"),
@@ -298,10 +308,6 @@ func TestRunStreamFlagDiagnostics(t *testing.T) {
 		"stream with resume": {
 			config{gridPath: gridPath, streamPath: "a.ndjson", resumePath: "b.ndjson", quiet: true},
 			"exactly one",
-		},
-		"stream with out": {
-			config{gridPath: gridPath, streamPath: "a.ndjson", outPath: "a.json", quiet: true},
-			"no -out",
 		},
 		"streamed shard with aggregate output": {
 			config{gridPath: gridPath, shard: "0/2", streamPath: filepath.Join(dir, "s.ndjson"),

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mptcpsim"
+	"mptcpsim/internal/cli"
 )
 
 // testGrid is a small fleet-sized grid: 2 CCs x 2 orders x 3 seeds = 12
@@ -55,7 +56,7 @@ func TestRunMatchesUnshardedSweep(t *testing.T) {
 
 	// The reference: the same grid swept unsharded, rendered through the
 	// same report helper into a sibling set of files.
-	grid, err := loadGrid(gridPath)
+	grid, err := cli.LoadGrid(gridPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +65,13 @@ func TestRunMatchesUnshardedSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	refDir := t.TempDir()
-	refCfg := config{
-		csvPath:    filepath.Join(refDir, "runs.csv"),
-		groupsPath: filepath.Join(refDir, "groups.csv"),
-		jsonPath:   filepath.Join(refDir, "sweep.json"),
+	refOut := cli.Outputs{
+		CSV:    filepath.Join(refDir, "runs.csv"),
+		Groups: filepath.Join(refDir, "groups.csv"),
+		JSON:   filepath.Join(refDir, "sweep.json"),
 	}
 	var wantOut bytes.Buffer
-	if err := report(want, refCfg, &wantOut); err != nil {
+	if err := cli.Report(want, refOut, &wantOut); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,0 +1,165 @@
+// Package cli holds the command-line code cmd/sweep and cmd/sweepd share:
+// grid loading, report rendering with output-file writing, and the
+// -progress meter. One copy of each keeps the two commands' outputs
+// byte-identical for the same result, which is what the fleet's
+// byte-identity contract is measured against.
+package cli
+
+import (
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"time"
+
+	"mptcpsim"
+	"mptcpsim/internal/telemetry"
+)
+
+// LoadGrid reads the grid spec and resolves scenario file references
+// relative to the spec's directory, so every process handed the same path
+// expands the identical grid. An empty path yields the default paper grid:
+// every registered CC crossed with four subflow orderings.
+func LoadGrid(path string) (*mptcpsim.Grid, error) {
+	if path == "" {
+		return &mptcpsim.Grid{
+			CCs:    []string{"lia", "olia", "balia", "cubic", "reno", "wvegas"},
+			Orders: [][]int{{2, 1, 3}, {1, 2, 3}, {3, 1, 2}, {1, 3, 2}},
+		}, nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	grid, err := mptcpsim.LoadGrid(f)
+	if err != nil {
+		return nil, err
+	}
+	for i, sc := range grid.Scenarios {
+		if sc.File == "" || sc.Scenario != nil {
+			continue
+		}
+		ref := sc.File
+		if !filepath.IsAbs(ref) {
+			ref = filepath.Join(filepath.Dir(path), ref)
+		}
+		sf, err := os.Open(ref)
+		if err != nil {
+			return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
+		}
+		inline, err := mptcpsim.LoadScenario(sf)
+		sf.Close()
+		if err != nil {
+			return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
+		}
+		// Expand build-validates every scenario, so decoding suffices here.
+		// The file reference is now resolved; clear it so Expand's
+		// exactly-one-selector check sees a plain inline scenario.
+		grid.Scenarios[i].Scenario = inline
+		grid.Scenarios[i].File = ""
+		// Default to the path as written, not its basename: two files
+		// named net.json in different directories must stay distinct.
+		if grid.Scenarios[i].Name == "" {
+			grid.Scenarios[i].Name = sc.File
+		}
+	}
+	return grid, nil
+}
+
+// Outputs names the files a sweep result is written to; empty paths are
+// skipped.
+type Outputs struct {
+	CSV    string // per-run table (-csv)
+	Groups string // aggregate table (-groups)
+	JSON   string // full result (-json)
+}
+
+// Report renders the aggregate table, the telemetry rollup when the result
+// carries one, and the best run to stdout, writes the requested output
+// files, and returns an error naming the failed-run count if any run
+// failed.
+func Report(res *mptcpsim.SweepResult, out Outputs, stdout io.Writer) error {
+	if err := res.Report(stdout); err != nil {
+		return err
+	}
+	// The rollup is pure simulation counts (no wall clock), so it belongs
+	// in the deterministic report.
+	if t := res.Telemetry; t != nil {
+		fmt.Fprintf(stdout, "\ntelemetry: %d runs, %d events fired (%d scheduled, %.1f%% recycled), heap peak %d\n",
+			t.Runs, t.EventsFired, t.EventsScheduled,
+			pct(t.Recycled, t.EventsScheduled), t.HeapPeak)
+		fmt.Fprintf(stdout, "telemetry: %d packets tx (%d offered, %d dropped), %d RTOs, %d fast recoveries, %d sched picks\n",
+			t.TxPackets, t.Offered, t.Drops, t.RTOs, t.FastRecoveries, t.SchedPicks)
+	}
+	if idx := res.SortRunsByGap(); len(idx) > 0 {
+		best := res.Runs[idx[0]]
+		fmt.Fprintf(stdout, "\nbest run: %s/%s cc=%s order=%s seed=%d at %.1f of %.1f Mbps (gap %.1f%%)\n",
+			best.Scenario, best.Perturbation, best.CC, best.OrderString(),
+			best.Seed, best.TotalMbps, best.OptimumMbps, best.Gap*100)
+	}
+	for _, f := range []struct {
+		path string
+		fn   func(io.Writer) error
+	}{
+		{out.CSV, res.WriteCSV},
+		{out.Groups, res.WriteGroupsCSV},
+		{out.JSON, res.WriteJSON},
+	} {
+		if f.path == "" {
+			continue
+		}
+		if err := WriteFile(f.path, f.fn); err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout, "wrote", f.path)
+	}
+	if n := res.Errs(); n > 0 {
+		return fmt.Errorf("%d of %d runs failed", n, len(res.Runs))
+	}
+	return nil
+}
+
+// pct renders a/b as a percentage (0 when b is 0).
+func pct(a, b uint64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return 100 * float64(a) / float64(b)
+}
+
+// WriteFile creates path and fills it with fn.
+func WriteFile(path string, fn func(w io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := fn(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// StartMeter opens the -progress channel (path "-" is stderr) and returns
+// a heartbeat meter over total runs and workers worker slots, published
+// under /debug/vars, plus its teardown, which emits the final heartbeat.
+func StartMeter(path string, total, workers int, stderr io.Writer) (*telemetry.Meter, func(), error) {
+	w := stderr
+	var f *os.File
+	if path != "-" {
+		var err error
+		if f, err = os.Create(path); err != nil {
+			return nil, nil, err
+		}
+		w = f
+	}
+	meter := telemetry.NewMeter(w, total, workers, time.Second)
+	meter.Activate()
+	return meter, func() {
+		meter.Close()
+		if f != nil {
+			f.Close()
+		}
+	}, nil
+}

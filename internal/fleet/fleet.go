@@ -226,13 +226,13 @@ func (c *Coordinator) shardComplete(lease Lease, digest string) (bool, error) {
 		return false, fmt.Errorf("fleet: shard %d/%d log carries grid digest %.12s, fleet is %.12s (stale spool?)",
 			lease.K, lease.N, log.Header.GridDigest, digest)
 	}
-	want := shardSize(lease.K, lease.N, log.Header.Total)
+	want := mptcpsim.Shard{K: lease.K, N: lease.N}.Len(log.Header.Total)
 	return !log.Torn() && len(log.Runs) == want, nil
 }
 
 // merge loads every shard log and reassembles the unsharded result.
 func (c *Coordinator) merge(digest string, total int) (*mptcpsim.SweepResult, error) {
-	shards := make([]*mptcpsim.ShardResult, c.Shards)
+	logs := make([]*mptcpsim.RunLog, c.Shards)
 	for k := 0; k < c.Shards; k++ {
 		f, err := os.Open(ShardLogPath(c.Spool, k, c.Shards))
 		if err != nil {
@@ -246,18 +246,16 @@ func (c *Coordinator) merge(digest string, total int) (*mptcpsim.SweepResult, er
 		if log.Torn() {
 			return nil, fmt.Errorf("fleet: shard %d/%d log torn after completion (is something else writing the spool?)", k, c.Shards)
 		}
-		shards[k] = log.ShardResult()
-	}
-	for k, sr := range shards {
-		if sr.GridDigest != digest {
+		if log.Header.GridDigest != digest {
 			return nil, fmt.Errorf("fleet: shard %d/%d log carries grid digest %.12s, fleet is %.12s",
-				k, c.Shards, sr.GridDigest, digest)
+				k, c.Shards, log.Header.GridDigest, digest)
 		}
+		logs[k] = log
 	}
 	// MergeShards revalidates digest agreement and exactly-once coverage
 	// of all total indices, so a passing merge is the byte-identity
 	// guarantee, not just a concatenation.
-	res, err := mptcpsim.MergeShards(shards...)
+	res, err := mptcpsim.MergeShards(logs...)
 	if err != nil {
 		return nil, err
 	}
@@ -306,14 +304,6 @@ func (c *Coordinator) Progress() *mptcpsim.AggSink {
 		}
 	}
 	return agg
-}
-
-// shardSize is how many of total expansion indices fall in shard k of n.
-func shardSize(k, n, total int) int {
-	if n <= 0 || k >= total {
-		return 0
-	}
-	return (total + n - 1 - k) / n
 }
 
 // leaseAttempt reads the attempt count behind a lease (for notices only).

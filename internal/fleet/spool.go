@@ -22,13 +22,16 @@ func ShardLogPath(spool string, k, n int) string {
 }
 
 // OpenShardLog opens the shard run-log at path for writing, resuming
-// whatever a previous lease left behind: a missing or empty file (or one
-// torn inside its header) starts fresh; a committed log is validated
-// against header's digest and shard shape, has any torn trailing record
-// truncated, and yields the already-committed indices as the skip set.
-// headerOnDisk reports whether a committed header is already present, in
-// which case the caller's LogSink must open in Resume mode.
-func OpenShardLog(path string, header mptcpsim.RunLogHeader) (f *os.File, skip map[int]bool, prevErrs int, headerOnDisk bool, err error) {
+// whatever a previous writer left behind — the one open-or-resume path of
+// both the fleet's workers and `sweep -resume`. A missing or empty file
+// (or one torn inside its header) starts fresh; a committed log is
+// validated against header's digest and shard shape, has any torn
+// trailing record truncated, and yields the already-committed indices as
+// the skip set plus the failed-run count among them. headerOnDisk reports
+// whether a committed header is already present, in which case the
+// caller's LogSink must open in Resume mode. When notices is non-nil, a
+// torn header or torn trailing record is announced there.
+func OpenShardLog(path string, header mptcpsim.RunLogHeader, notices io.Writer) (f *os.File, skip map[int]bool, prevErrs int, headerOnDisk bool, err error) {
 	f, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o666)
 	if err != nil {
 		return nil, nil, 0, false, err
@@ -36,15 +39,6 @@ func OpenShardLog(path string, header mptcpsim.RunLogHeader) (f *os.File, skip m
 	fail := func(e error) (*os.File, map[int]bool, int, bool, error) {
 		f.Close()
 		return nil, nil, 0, false, e
-	}
-	restart := func() (*os.File, map[int]bool, int, bool, error) {
-		if err := f.Truncate(0); err != nil {
-			return fail(err)
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return fail(err)
-		}
-		return f, nil, 0, false, nil
 	}
 	st, err := f.Stat()
 	if err != nil {
@@ -55,22 +49,35 @@ func OpenShardLog(path string, header mptcpsim.RunLogHeader) (f *os.File, skip m
 	}
 	log, err := mptcpsim.ReadRunLog(f)
 	if errors.Is(err, mptcpsim.ErrHeaderTorn) {
-		// The previous lease died inside the header: nothing committed,
-		// nothing to resume.
-		return restart()
+		// The previous writer died inside the header: nothing committed,
+		// nothing to resume. Start the shard over rather than refusing.
+		if err := f.Truncate(0); err != nil {
+			return fail(err)
+		}
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			return fail(err)
+		}
+		if notices != nil {
+			fmt.Fprintf(notices, "resume: %s: header torn, nothing to resume; re-executing the full shard\n", path)
+		}
+		return f, nil, 0, false, nil
 	}
 	if err != nil {
 		return fail(fmt.Errorf("%s: %w", path, err))
 	}
 	if log.Header.GridDigest != header.GridDigest {
-		return fail(fmt.Errorf("%s: run-log grid digest %.12s does not match the fleet's %.12s (stale spool?)",
+		return fail(fmt.Errorf("%s: run-log grid digest %.12s does not match this sweep's %.12s (different grid, -check or library version, or a stale spool?); resume with the original settings or start a fresh log",
 			path, log.Header.GridDigest, header.GridDigest))
 	}
 	if log.Header.K != header.K || log.Header.N != header.N || log.Header.Total != header.Total {
-		return fail(fmt.Errorf("%s: run-log is shard %d/%d of %d runs, this lease is shard %d/%d of %d",
+		return fail(fmt.Errorf("%s: run-log is shard %d/%d of %d runs, this sweep is shard %d/%d of %d; resume with the original shard",
 			path, log.Header.K, log.Header.N, log.Header.Total, header.K, header.N, header.Total))
 	}
 	if log.Torn() {
+		if notices != nil {
+			fmt.Fprintf(notices, "resume: truncating torn trailing record at byte %d of %s; its run will be re-executed\n",
+				log.TornTail, path)
+		}
 		if err := f.Truncate(log.TornTail); err != nil {
 			return fail(err)
 		}

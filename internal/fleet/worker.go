@@ -11,8 +11,8 @@ import (
 // spool run-log, skips committed indices, and streams the rest through
 // the library sweep, honouring the lease deadline via ctx.
 type Worker struct {
-	// Sweep is the execution template (Workers, ValidateInvariants); its
-	// hooks and sinks are not used. Grid is the fleet's grid.
+	// Sweep is the execution template (Workers, ValidateInvariants). Grid
+	// is the fleet's grid.
 	Sweep *mptcpsim.Sweep
 	Grid  *mptcpsim.Grid
 	// Spool is the shared spool directory.
@@ -38,7 +38,7 @@ func (w *Worker) Run(ctx context.Context, lease Lease) error {
 		Lease:  lease.Epoch,
 	}
 	path := ShardLogPath(w.Spool, lease.K, lease.N)
-	f, skip, _, onDisk, err := OpenShardLog(path, header)
+	f, skip, _, onDisk, err := OpenShardLog(path, header, nil)
 	if err != nil {
 		return err
 	}

@@ -18,7 +18,7 @@ type Heartbeat struct {
 	T        string  `json:"t"`
 	ElapsedS float64 `json:"elapsed_s"`
 	// Done / Total / Failed count runs; Done is monotone because the
-	// OnResult hook feeding Record is serialised.
+	// sweep sink feeding Record is serialised.
 	Done   int `json:"done"`
 	Total  int `json:"total"`
 	Failed int `json:"failed"`
@@ -39,9 +39,10 @@ type Heartbeat struct {
 }
 
 // Meter turns a stream of run completions into periodic NDJSON heartbeats.
-// Feed it from a serialised completion hook (Sweep.OnResult, or simcheck's
-// result loop); it rate-limits emission to the configured interval and
-// always emits the final heartbeat on Close. A Meter is also safe for
+// Feed it from a serialised completion hook (a sink in the sweep's
+// mptcpsim.RunSink chain, or simcheck's result loop); it rate-limits
+// emission to the configured interval and always emits the final
+// heartbeat on Close. A Meter is also safe for
 // concurrent Record calls: it carries its own mutex.
 type Meter struct {
 	mu       sync.Mutex

@@ -41,7 +41,23 @@
 //	sr.Report(os.Stdout)
 //
 // Sweep output is deterministic for a given grid regardless of worker
-// count.
+// count. Run is the in-memory convenience over Stream, which hands every
+// completed run to a RunSink and retains nothing: a LogSink appends it to
+// an NDJSON run-log, so a grid too large to hold — or split across
+// machines with StreamSpec.Shard — still reassembles, through ReadRunLog
+// and MergeShards, into the byte-identical SweepResult:
+//
+//	s := &mptcpsim.Sweep{}
+//	digest, total, err := s.Describe(grid)
+//	if err != nil { ... }
+//	shard := mptcpsim.Shard{K: 0, N: 4} // one of four machines
+//	sink, err := mptcpsim.NewLogSink(f, mptcpsim.RunLogHeader{
+//		GridDigest: digest, K: shard.K, N: shard.N, Total: total},
+//		mptcpsim.LogOptions{Sync: f.Sync})
+//	if err != nil { ... }
+//	err = s.Stream(grid, mptcpsim.StreamSpec{Shard: shard}, sink)
+//	// later, with every shard's log read back by ReadRunLog:
+//	sr, err = mptcpsim.MergeShards(log0, log1, log2, log3)
 package mptcpsim
 
 import (

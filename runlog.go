@@ -19,18 +19,17 @@ const RunLogVersion = 1
 // which resume re-executes.
 const DefaultSyncBatch = 32
 
-// RunLogHeader is the first NDJSON line of a run-log: the shard-artifact
-// metadata (grid digest, shard coordinates, grid total) that makes the log
-// mergeable through the same validated path as ShardResult artifacts. The
-// run_log field doubles as the format sniffing key — shard JSON artifacts
-// have no such field, so a reader can tell the two apart from the first
-// line alone.
+// RunLogHeader is the first NDJSON line of a run-log: the shard metadata
+// (grid digest, shard coordinates, grid total) that MergeShards validates
+// before reassembling logs into one sweep result.
 type RunLogHeader struct {
 	// Version is the run-log schema version (RunLogVersion).
 	Version int `json:"run_log"`
-	// GridDigest is the canonical digest of the expanded grid (see
-	// ShardResult.GridDigest); logs merge with other artifacts only when
-	// their digests agree.
+	// GridDigest is the canonical SHA-256 over the expanded grid (every
+	// run's index, labels, effective options — a sweep-level
+	// ValidateInvariants folds in here — and topology); logs merge only
+	// when their digests agree, the guard against mixing logs from
+	// different grids, run settings or library versions.
 	GridDigest string `json:"grid_digest"`
 	// K and N are the shard coordinates (0/1 for a whole-grid sweep).
 	K int `json:"k"`
@@ -66,8 +65,7 @@ func (h RunLogHeader) Validate() error {
 type RunRecord struct {
 	Run RunSummary `json:"run"`
 	// Hash is the canonical Result hash (LogOptions.Hash; empty for failed
-	// runs) — the cross-machine replay check shard artifacts carry under
-	// Keep, without retaining any Result.
+	// runs) — a cross-machine replay check that retains no Result.
 	Hash string `json:"hash,omitempty"`
 }
 
@@ -225,34 +223,6 @@ func (l *RunLog) Errs() int {
 	return n
 }
 
-// ShardResult converts the log into the mergeable artifact form, so
-// run-logs flow through the same validated merge path (digest agreement,
-// exactly-once index coverage) as shard JSON artifacts — including mixed
-// with them. Hashes are carried when the log recorded any.
-func (l *RunLog) ShardResult() *ShardResult {
-	sr := &ShardResult{
-		GridDigest: l.Header.GridDigest,
-		K:          l.Header.K,
-		N:          l.Header.N,
-		Total:      l.Header.Total,
-		Runs:       make([]RunSummary, len(l.Runs)),
-	}
-	hashed := false
-	for i, rec := range l.Runs {
-		sr.Runs[i] = rec.Run
-		if rec.Hash != "" {
-			hashed = true
-		}
-	}
-	if hashed {
-		sr.Hashes = make([]string, len(l.Runs))
-		for i, rec := range l.Runs {
-			sr.Hashes[i] = rec.Hash
-		}
-	}
-	return sr
-}
-
 // ReadRunLog parses a run-log written by LogSink. A torn trailing record —
 // the final line unparseable or missing its newline, the signature of a
 // killed writer — is not an error: it is reported via TornTail so resume
@@ -319,9 +289,9 @@ func ReadRunLog(r io.Reader) (*RunLog, error) {
 	}
 }
 
-// unmarshalStrict decodes one JSON value rejecting unknown fields — the
-// same schema discipline LoadShard applies, so a log from a newer schema
-// fails loudly instead of merging with fields silently dropped.
+// unmarshalStrict decodes one JSON value rejecting unknown fields, so a
+// log from a newer schema fails loudly instead of merging with fields
+// silently dropped.
 func unmarshalStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()

@@ -74,10 +74,11 @@ func TestLogSinkSyncBatching(t *testing.T) {
 	}
 }
 
-// TestRunLogMergesWithShardArtifacts is the mixed-format half of the merge
-// contract at the library level: one shard as a JSON-round-tripped
-// ShardResult, the other as a streamed run-log, merged together, must
-// reproduce the unsharded sweep byte-identically in all four formats.
+// TestRunLogMergesWithShardArtifacts: a run-log's optional content —
+// per-run hashes, fleet provenance in the header — is not part of its
+// identity, so shard logs written with and without it merge together and
+// still reproduce the unsharded sweep byte-identically in all four
+// formats.
 func TestRunLogMergesWithShardArtifacts(t *testing.T) {
 	grid := sweepGrid
 	s := &Sweep{Workers: 2}
@@ -87,44 +88,33 @@ func TestRunLogMergesWithShardArtifacts(t *testing.T) {
 	}
 	want := renderAll(t, full)
 
-	sr0, err := s.RunShard(grid(), Shard{K: 0, N: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var disk bytes.Buffer
-	if err := sr0.WriteJSON(&disk); err != nil {
-		t.Fatal(err)
-	}
-	sr0, err = LoadShard(&disk)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	hashed := streamShard(t, s, grid(), Shard{K: 0, N: 2}, LogOptions{Hash: true})
 	digest, total, err := s.Describe(grid())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	sink, err := NewLogSink(&buf, RunLogHeader{GridDigest: digest, K: 1, N: 2, Total: total}, LogOptions{})
+	sink, err := NewLogSink(&buf, RunLogHeader{GridDigest: digest, K: 1, N: 2, Total: total,
+		Worker: "w7", Lease: 3}, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Stream(grid(), StreamSpec{Shard: Shard{K: 1, N: 2}}, sink); err != nil {
 		t.Fatal(err)
 	}
-	log, err := ReadRunLog(&buf)
+	leased, err := ReadRunLog(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	merged, err := MergeShards(sr0, log.ShardResult())
+	merged, err := MergeShards(hashed, leased)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := renderAll(t, merged)
 	for name, w := range want {
 		if !bytes.Equal(got[name], w) {
-			t.Errorf("mixed-format merge differs from unsharded sweep in %s", name)
+			t.Errorf("merge of hashed and leased run-logs differs from unsharded sweep in %s", name)
 		}
 	}
 }
@@ -174,7 +164,7 @@ func TestStreamSkipResumesExactlyOnce(t *testing.T) {
 		t.Fatalf("resumed log has %d records over %d indices, want %d each",
 			len(log.Runs), len(log.Indices()), total)
 	}
-	if _, err := MergeShards(log.ShardResult()); err != nil {
+	if _, err := MergeShards(log); err != nil {
 		t.Fatalf("resumed log does not merge: %v", err)
 	}
 }
@@ -274,16 +264,6 @@ func TestReadRunLogRejectsCorruption(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
 		}
-	}
-}
-
-// TestStreamRejectsKeep pins the pointed diagnostic for the one sink
-// configuration streaming cannot honour.
-func TestStreamRejectsKeep(t *testing.T) {
-	s := &Sweep{Keep: true}
-	err := s.Stream(sweepGrid(), StreamSpec{}, &MemorySink{})
-	if err == nil || !strings.Contains(err.Error(), "Keep") {
-		t.Fatalf("Stream with Keep: err = %v, want a Keep diagnostic", err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,7 +14,8 @@ import (
 // whose expansion index i satisfies i % N == K. Because expansion order is
 // deterministic and documented (see Grid), the same grid spec sharded on
 // different machines partitions into the same N disjoint run sets, and
-// MergeShards can reassemble them into the exact unsharded SweepResult.
+// MergeShards can reassemble their run-logs into the exact unsharded
+// SweepResult.
 type Shard struct {
 	// K is the shard coordinate, 0 <= K < N.
 	K int `json:"k"`
@@ -32,6 +32,15 @@ func (s Shard) Validate() error {
 		return fmt.Errorf("mptcpsim: shard index %d out of range 0..%d", s.K, s.N-1)
 	}
 	return nil
+}
+
+// Len returns how many runs of a total-run grid the (valid) shard owns:
+// the indices i < total with i % N == K.
+func (s Shard) Len(total int) int {
+	if s.K >= total {
+		return 0
+	}
+	return (total-1-s.K)/s.N + 1
 }
 
 // String renders the shard in the CLI's k/n form.
@@ -58,220 +67,137 @@ func ParseShard(spec string) (Shard, error) {
 	return s, nil
 }
 
-// ShardResult is the serialisable artifact of one shard of a sweep: the
-// grid's digest and total size, the shard coordinates, and the shard's run
-// summaries labelled with their global expansion indices. N such artifacts
-// (one per K) are reassembled by MergeShards into a SweepResult identical
-// to the unsharded Sweep.Run output.
-type ShardResult struct {
-	// GridDigest is the canonical SHA-256 over the expanded grid (every
-	// run's index, labels, effective options — a sweep-level
-	// ValidateInvariants folds in here — and topology). Shards merge only
-	// when their digests agree: the guard against mixing artifacts from
-	// different grid specs, different run settings, or library versions
-	// that expand differently.
-	GridDigest string `json:"grid_digest"`
-	// K and N are the shard coordinates (runs with Index % N == K).
-	K int `json:"k"`
-	N int `json:"n"`
-	// Total is the run count of the whole grid, not just this shard.
-	Total int `json:"total"`
-	// Runs are the shard's summaries, in expansion order, with global
-	// indices.
-	Runs []RunSummary `json:"runs"`
-	// Hashes are the canonical Result hashes of the shard's runs (indexed
-	// like Runs; empty string for a failed run). Populated only when the
-	// sweep ran with Keep — a cross-machine replay check that is stronger
-	// than the summaries alone.
-	Hashes []string `json:"hashes,omitempty"`
-}
-
-// Errs counts failed runs in the shard.
-func (sr *ShardResult) Errs() int {
-	n := 0
-	for _, run := range sr.Runs {
-		if run.Err != "" {
-			n++
-		}
-	}
-	return n
-}
-
-// WriteJSON emits the shard artifact as indented JSON, the on-disk format
-// LoadShard reads back.
-func (sr *ShardResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(sr)
-}
-
-// LoadShard parses a shard artifact written by ShardResult.WriteJSON.
-// Unknown fields are rejected: an artifact from a newer schema must fail
-// loudly rather than merge with fields silently dropped.
-func LoadShard(r io.Reader) (*ShardResult, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var sr ShardResult
-	if err := dec.Decode(&sr); err != nil {
-		return nil, fmt.Errorf("mptcpsim: shard artifact: %w", err)
-	}
-	return &sr, nil
-}
-
-// RunShard expands the grid, keeps only the runs of the given shard, and
-// executes them — the distributed form of Run. Every process sharding the
-// same grid computes the same digest and disjoint index sets, so the N
-// artifacts always merge back into the unsharded result. Like Run,
-// per-run failures land in RunSummary.Err; only structural problems
-// return an error.
-func (s *Sweep) RunShard(g *Grid, shard Shard) (*ShardResult, error) {
-	if err := shard.Validate(); err != nil {
-		return nil, err
-	}
-	specs, digest, err := s.expandFolded(g)
-	if err != nil {
-		return nil, err
-	}
-	var mine []RunSpec
-	for _, sp := range specs {
-		if sp.Index%shard.N == shard.K {
-			mine = append(mine, sp)
-		}
-	}
-	// No telemetry rollup sink here: shard artifacts keep their
-	// pre-telemetry byte layout so mixed-version fleets still merge.
-	mem := &MemorySink{Keep: s.Keep}
-	if err := s.execute(mine, mem); err != nil {
-		return nil, err
-	}
-	mem.sort()
-	sr := &ShardResult{
-		GridDigest: digest,
-		K:          shard.K,
-		N:          shard.N,
-		Total:      len(specs),
-		Runs:       mem.runs,
-	}
-	if s.Keep {
-		sr.Hashes = make([]string, len(mem.results))
-		for i, r := range mem.results {
-			if r != nil {
-				sr.Hashes[i] = r.Hash()
-			}
-		}
-	}
-	return sr, nil
-}
-
 // expandFolded expands the grid with the sweep-level oracle flag folded
-// into every spec before digesting: a run whose invariant violation
-// becomes its Err is not the same run as an unvalidated one, so shards
-// swept with different ValidateInvariants settings must refuse to merge
-// rather than mix provenance under one digest.
-func (s *Sweep) expandFolded(g *Grid) ([]RunSpec, string, error) {
+// into every spec: a run whose invariant violation becomes its Err is not
+// the same run as an unvalidated one, so the digest Describe computes over
+// these specs keeps shards swept with different ValidateInvariants
+// settings from merging under one identity.
+func (s *Sweep) expandFolded(g *Grid) ([]RunSpec, error) {
 	specs, err := g.Expand()
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	if s.ValidateInvariants {
 		for i := range specs {
 			specs[i].Options.ValidateInvariants = true
 		}
 	}
-	return specs, specsDigest(specs), nil
+	return specs, nil
 }
 
-// MergeShards reassembles shard artifacts into the SweepResult of the
-// unsharded sweep. It accepts the shards in any order but insists on a
-// complete, consistent set: one grid digest, one (N, Total) shape, and
-// every run index 0..Total-1 present exactly once, each inside the shard
-// that owns it. Groups and the overall Gap are recomputed from the full
-// run list (medians and standard deviations do not compose from per-shard
-// aggregates), so the merged value — and every serialisation of it — is
-// byte-identical to Sweep.Run on the same grid.
-func MergeShards(shards ...*ShardResult) (*SweepResult, error) {
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("mptcpsim: merge: no shard artifacts")
+// MergeShards reassembles shard run-logs into the SweepResult of the
+// unsharded sweep. It accepts the logs in any order but insists on a
+// complete, consistent set: one grid digest, one (N, Total) shape, valid
+// shard coordinates, and every run index 0..Total-1 present exactly once,
+// each inside the shard that owns it. Groups and the overall Gap are
+// recomputed from the full run list (medians and standard deviations do
+// not compose from per-shard aggregates), so the merged value — and every
+// serialisation of it — is byte-identical to Sweep.Run on the same grid.
+//
+// Headers come off disk, so Total is not trusted for sizing: nothing
+// Total-sized is allocated until the logs are known to supply that many
+// distinct runs.
+func MergeShards(logs ...*RunLog) (*SweepResult, error) {
+	if len(logs) == 0 {
+		return nil, fmt.Errorf("mptcpsim: merge: no shard run-logs")
 	}
-	ref := shards[0]
-	if ref.N < 1 {
-		return nil, fmt.Errorf("mptcpsim: merge: shard %d/%d has invalid shard count", ref.K, ref.N)
-	}
+	ref := logs[0].Header
 	if ref.Total < 0 {
 		return nil, fmt.Errorf("mptcpsim: merge: shard %d/%d reports negative total %d", ref.K, ref.N, ref.Total)
 	}
-	runs := make([]RunSummary, ref.Total)
-	seen := make([]bool, ref.Total)
-	for i, sr := range shards {
-		if sr.GridDigest != ref.GridDigest {
-			return nil, fmt.Errorf("mptcpsim: merge: grid digest mismatch: shard %d/%d has %s, shard %d/%d has %s (artifacts from different grids?)",
-				sr.K, sr.N, sr.GridDigest, ref.K, ref.N, ref.GridDigest)
+	supplied := 0
+	for _, l := range logs {
+		supplied += len(l.Runs)
+	}
+	byIndex := make(map[int]*RunSummary, supplied)
+	present := make(map[int]int) // shard K -> distinct runs supplied
+	for i, l := range logs {
+		h := l.Header
+		if h.GridDigest != ref.GridDigest {
+			return nil, fmt.Errorf("mptcpsim: merge: grid digest mismatch: shard %d/%d has %s, shard %d/%d has %s (run-logs from different grids?)",
+				h.K, h.N, h.GridDigest, ref.K, ref.N, ref.GridDigest)
 		}
-		if sr.N != ref.N || sr.Total != ref.Total {
-			return nil, fmt.Errorf("mptcpsim: merge: shard shape mismatch: artifact %d is shard %d/%d of %d runs, artifact 0 is shard %d/%d of %d",
-				i, sr.K, sr.N, sr.Total, ref.K, ref.N, ref.Total)
+		if h.N != ref.N || h.Total != ref.Total {
+			return nil, fmt.Errorf("mptcpsim: merge: shard shape mismatch: run-log %d is shard %d/%d of %d runs, run-log 0 is shard %d/%d of %d",
+				i, h.K, h.N, h.Total, ref.K, ref.N, ref.Total)
 		}
-		if err := (Shard{K: sr.K, N: sr.N}).Validate(); err != nil {
+		if err := (Shard{K: h.K, N: h.N}).Validate(); err != nil {
 			return nil, fmt.Errorf("mptcpsim: merge: %w", err)
 		}
-		if len(sr.Hashes) > 0 && len(sr.Hashes) != len(sr.Runs) {
-			return nil, fmt.Errorf("mptcpsim: merge: shard %d/%d has %d hashes for %d runs",
-				sr.K, sr.N, len(sr.Hashes), len(sr.Runs))
-		}
-		for _, run := range sr.Runs {
+		for j := range l.Runs {
+			run := &l.Runs[j].Run
 			if run.Index < 0 || run.Index >= ref.Total {
 				return nil, fmt.Errorf("mptcpsim: merge: shard %d/%d contains run index %d outside 0..%d",
-					sr.K, sr.N, run.Index, ref.Total-1)
+					h.K, h.N, run.Index, ref.Total-1)
 			}
-			if run.Index%sr.N != sr.K {
+			if run.Index%h.N != h.K {
 				return nil, fmt.Errorf("mptcpsim: merge: run index %d does not belong to shard %d/%d (index %% %d = %d)",
-					run.Index, sr.K, sr.N, sr.N, run.Index%sr.N)
+					run.Index, h.K, h.N, h.N, run.Index%h.N)
 			}
-			if seen[run.Index] {
+			if _, dup := byIndex[run.Index]; dup {
 				return nil, fmt.Errorf("mptcpsim: merge: duplicate run index %d (shard %d/%d supplied twice?)",
-					run.Index, sr.K, sr.N)
+					run.Index, h.K, h.N)
 			}
-			seen[run.Index] = true
-			runs[run.Index] = run
+			byIndex[run.Index] = run
+			present[h.K]++
 		}
 	}
-	var missing []int
-	for i, ok := range seen {
-		if !ok {
-			missing = append(missing, i)
-		}
-	}
-	if len(missing) > 0 {
-		ks := missingShards(missing, ref.N)
+	if missing := ref.Total - len(byIndex); missing > 0 {
 		return nil, fmt.Errorf("mptcpsim: merge: %d of %d run indices missing (first: %d); incomplete or absent shard(s) %s of %d",
-			len(missing), ref.Total, missing[0], ks, ref.N)
+			missing, ref.Total, firstMissing(byIndex), missingShards(present, ref.N, ref.Total), ref.N)
+	}
+	// Every index is in range and distinct, so Total == len(byIndex) here.
+	runs := make([]RunSummary, ref.Total)
+	for i, run := range byIndex {
+		runs[i] = *run
 	}
 	res := &SweepResult{Runs: runs}
 	res.aggregate()
 	return res, nil
 }
 
-// missingShards names the shard coordinates that own the missing indices,
+// firstMissing returns the smallest index absent from a set of distinct
+// non-negative indices.
+func firstMissing(byIndex map[int]*RunSummary) int {
+	idx := make([]int, 0, len(byIndex))
+	for i := range byIndex {
+		idx = append(idx, i)
+	}
+	sort.Ints(idx)
+	for want, i := range idx {
+		if i != want {
+			return want
+		}
+	}
+	return len(idx)
+}
+
+// maxListedShards caps how many shard coordinates an incomplete-merge
+// diagnostic lists; a header can claim any shard count.
+const maxListedShards = 32
+
+// missingShards names the shard coordinates that own missing indices,
 // e.g. "1,3" — the actionable half of an incomplete-merge diagnostic.
-func missingShards(missing []int, n int) string {
-	ks := make(map[int]bool)
-	for _, i := range missing {
-		ks[i%n] = true
-	}
-	order := make([]int, 0, len(ks))
-	for k := range ks {
-		order = append(order, k)
-	}
-	sort.Ints(order)
-	parts := make([]string, len(order))
-	for i, k := range order {
-		parts[i] = strconv.Itoa(k)
+// present counts the distinct runs supplied per shard. Every complete
+// shard was supplied at least one run, so the scan stops after at most
+// len(present)+maxListedShards coordinates however large n and total are.
+func missingShards(present map[int]int, n, total int) string {
+	var parts []string
+	for k := 0; k < n && k < total; k++ {
+		if present[k] == (Shard{K: k, N: n}).Len(total) {
+			continue
+		}
+		if len(parts) == maxListedShards {
+			parts = append(parts, "...")
+			break
+		}
+		parts = append(parts, strconv.Itoa(k))
 	}
 	return strings.Join(parts, ",")
 }
 
 // Digest expands the grid and returns its canonical digest — the value
-// every shard artifact of this grid carries as GridDigest.
+// every run-log header of this grid carries as GridDigest.
 func (g *Grid) Digest() (string, error) {
 	specs, err := g.Expand()
 	if err != nil {

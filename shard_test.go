@@ -2,6 +2,10 @@ package mptcpsim
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -65,9 +69,32 @@ func shardGrids(short bool) map[string]*Grid {
 	return grids
 }
 
+// streamShard streams one shard of the grid into a run-log and reads it
+// back through ReadRunLog — the disk round trip every merge input takes.
+func streamShard(t *testing.T, s *Sweep, g *Grid, shard Shard, opt LogOptions) *RunLog {
+	t.Helper()
+	digest, total, err := s.Describe(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	sink, err := NewLogSink(&buf, RunLogHeader{GridDigest: digest, K: shard.K, N: shard.N, Total: total}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Stream(g, StreamSpec{Shard: shard}, sink); err != nil {
+		t.Fatal(err)
+	}
+	log, err := ReadRunLog(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return log
+}
+
 // TestShardMergeByteIdentical is the distributed-determinism contract:
-// for every grid and every shard count, running the N shards
-// independently (artifacts round-tripped through their JSON disk format,
+// for every grid and every shard count, streaming the N shards
+// independently into run-logs (round-tripped through their disk format,
 // merged in arbitrary order) reproduces the unsharded SweepResult
 // byte-identically in all four output formats.
 func TestShardMergeByteIdentical(t *testing.T) {
@@ -83,30 +110,19 @@ func TestShardMergeByteIdentical(t *testing.T) {
 			}
 			want := renderAll(t, full)
 			for _, n := range ns {
-				shards := make([]*ShardResult, 0, n)
+				logs := make([]*RunLog, 0, n)
 				total := 0
 				// Reverse K order: MergeShards must not care how the
-				// artifacts are listed.
+				// logs are listed.
 				for k := n - 1; k >= 0; k-- {
-					sr, err := (&Sweep{Workers: 2}).RunShard(grid, Shard{K: k, N: n})
-					if err != nil {
-						t.Fatal(err)
-					}
-					var buf bytes.Buffer
-					if err := sr.WriteJSON(&buf); err != nil {
-						t.Fatal(err)
-					}
-					loaded, err := LoadShard(&buf)
-					if err != nil {
-						t.Fatal(err)
-					}
-					shards = append(shards, loaded)
-					total += len(loaded.Runs)
+					log := streamShard(t, &Sweep{Workers: 2}, grid, Shard{K: k, N: n}, LogOptions{})
+					logs = append(logs, log)
+					total += len(log.Runs)
 				}
 				if total != len(full.Runs) {
 					t.Fatalf("n=%d: shards hold %d runs, grid has %d", n, total, len(full.Runs))
 				}
-				merged, err := MergeShards(shards...)
+				merged, err := MergeShards(logs...)
 				if err != nil {
 					t.Fatalf("n=%d: %v", n, err)
 				}
@@ -122,8 +138,10 @@ func TestShardMergeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunShardDeterminism: a shard's artifact is bit-identical across
-// worker counts and repeated executions, like the unsharded sweep.
+// TestRunShardDeterminism: a shard's run-log records the same header and
+// the same runs across worker counts and repeated executions, like the
+// unsharded sweep. Records land in completion order, so they are compared
+// in index order.
 func TestRunShardDeterminism(t *testing.T) {
 	grid := &Grid{
 		CCs:        []string{"cubic", "olia"},
@@ -132,69 +150,43 @@ func TestRunShardDeterminism(t *testing.T) {
 	}
 	var outputs []string
 	for _, workers := range []int{1, 8, 8} {
-		sr, err := (&Sweep{Workers: workers}).RunShard(grid, Shard{K: 1, N: 2})
+		log := streamShard(t, &Sweep{Workers: workers}, grid, Shard{K: 1, N: 2}, LogOptions{Hash: true})
+		sort.Slice(log.Runs, func(a, b int) bool { return log.Runs[a].Run.Index < log.Runs[b].Run.Index })
+		js, err := json.Marshal(log)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := sr.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		outputs = append(outputs, buf.String())
+		outputs = append(outputs, string(js))
 	}
 	if outputs[0] != outputs[1] {
-		t.Fatalf("shard artifact differs between 1 and 8 workers:\n--- w1 ---\n%s\n--- w8 ---\n%s",
+		t.Fatalf("shard run-log differs between 1 and 8 workers:\n--- w1 ---\n%s\n--- w8 ---\n%s",
 			outputs[0], outputs[1])
 	}
 	if outputs[1] != outputs[2] {
-		t.Fatal("shard artifact differs between two identical executions")
+		t.Fatal("shard run-log differs between two identical executions")
 	}
 }
 
 func TestShardPreservesGlobalIndices(t *testing.T) {
 	grid := &Grid{CCs: []string{"cubic", "olia", "lia"}, DurationMs: 100}
-	sr, err := (&Sweep{Workers: 2}).RunShard(grid, Shard{K: 1, N: 2})
-	if err != nil {
-		t.Fatal(err)
+	log := streamShard(t, &Sweep{Workers: 2}, grid, Shard{K: 1, N: 2}, LogOptions{})
+	if log.Header.Total != 3 || len(log.Runs) != 1 {
+		t.Fatalf("shard 1/2 of 3 runs holds %d of %d", len(log.Runs), log.Header.Total)
 	}
-	if sr.Total != 3 || len(sr.Runs) != 1 {
-		t.Fatalf("shard 1/2 of 3 runs holds %d of %d", len(sr.Runs), sr.Total)
-	}
-	if sr.Runs[0].Index != 1 {
-		t.Fatalf("shard run carries index %d, want the global expansion index 1", sr.Runs[0].Index)
+	if log.Runs[0].Run.Index != 1 {
+		t.Fatalf("shard run carries index %d, want the global expansion index 1", log.Runs[0].Run.Index)
 	}
 }
 
-func TestRunShardKeepHashes(t *testing.T) {
-	grid := &Grid{CCs: []string{"cubic", "olia"}, DurationMs: 100}
-	a, err := (&Sweep{Workers: 2, Keep: true}).RunShard(grid, Shard{K: 0, N: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Hashes) != len(a.Runs) {
-		t.Fatalf("%d hashes for %d runs", len(a.Hashes), len(a.Runs))
-	}
-	for i, h := range a.Hashes {
-		if h == "" {
-			t.Fatalf("run %d (no error) has empty hash", i)
+func TestShardLen(t *testing.T) {
+	for _, tc := range []struct{ k, n, total, want int }{
+		{0, 1, 0, 0}, {0, 1, 5, 5}, {0, 2, 5, 3}, {1, 2, 5, 2},
+		{3, 4, 1, 0}, {3, 4, 4, 1}, {0, 4, 9, 3},
+		{0, 1, math.MaxInt, math.MaxInt}, {1, math.MaxInt, math.MaxInt, 1},
+	} {
+		if got := (Shard{K: tc.k, N: tc.n}).Len(tc.total); got != tc.want {
+			t.Errorf("Shard{%d, %d}.Len(%d) = %d, want %d", tc.k, tc.n, tc.total, got, tc.want)
 		}
-	}
-	b, err := (&Sweep{Workers: 1, Keep: true}).RunShard(grid, Shard{K: 0, N: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Hashes {
-		if a.Hashes[i] != b.Hashes[i] {
-			t.Fatalf("run %d hash differs across executions: %s vs %s", i, a.Hashes[i], b.Hashes[i])
-		}
-	}
-	// Without Keep the artifact stays lean.
-	c, err := (&Sweep{Workers: 1}).RunShard(grid, Shard{K: 0, N: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Hashes) != 0 {
-		t.Fatalf("hashes populated without Keep: %v", c.Hashes)
 	}
 }
 
@@ -218,11 +210,14 @@ func TestParseShard(t *testing.T) {
 	}
 }
 
+// TestRunShardRejectsInvalidShard: a shard run refuses coordinates
+// outside 0 <= K < N before executing anything. (The zero Shard selects
+// the whole grid, so N = 0 is not among them.)
 func TestRunShardRejectsInvalidShard(t *testing.T) {
 	grid := &Grid{DurationMs: 100}
-	for _, shard := range []Shard{{K: 0, N: 0}, {K: 2, N: 2}, {K: -1, N: 2}} {
-		if _, err := (&Sweep{}).RunShard(grid, shard); err == nil {
-			t.Errorf("RunShard accepted shard %+v", shard)
+	for _, shard := range []Shard{{K: 0, N: -1}, {K: 2, N: 2}, {K: -1, N: 2}} {
+		if err := (&Sweep{}).Stream(grid, StreamSpec{Shard: shard}, &MemorySink{}); err == nil {
+			t.Errorf("Stream accepted shard %+v", shard)
 		}
 	}
 }
@@ -250,56 +245,56 @@ func TestGridDigestIdentifiesGrid(t *testing.T) {
 	}
 }
 
-// fabShard builds a hand-made artifact for the merge error-path tests —
+// fabShard builds a hand-made run-log for the merge error-path tests —
 // MergeShards validates structure, so no runs need executing.
-func fabShard(digest string, k, n, total int, indices ...int) *ShardResult {
-	sr := &ShardResult{GridDigest: digest, K: k, N: n, Total: total}
+func fabShard(digest string, k, n, total int, indices ...int) *RunLog {
+	log := &RunLog{Header: RunLogHeader{Version: RunLogVersion, GridDigest: digest, K: k, N: n, Total: total}, TornTail: -1}
 	for _, i := range indices {
-		sr.Runs = append(sr.Runs, RunSummary{Index: i})
+		log.Runs = append(log.Runs, RunRecord{Run: RunSummary{Index: i}})
 	}
-	return sr
+	return log
 }
 
 func TestMergeShardsDiagnostics(t *testing.T) {
 	cases := map[string]struct {
-		shards []*ShardResult
+		shards []*RunLog
 		want   string
 	}{
-		"no shards": {nil, "no shard artifacts"},
+		"no shards": {nil, "no shard run-logs"},
 		"digest mismatch": {
-			[]*ShardResult{fabShard("aaa", 0, 2, 4, 0, 2), fabShard("bbb", 1, 2, 4, 1, 3)},
+			[]*RunLog{fabShard("aaa", 0, 2, 4, 0, 2), fabShard("bbb", 1, 2, 4, 1, 3)},
 			"grid digest mismatch",
 		},
 		"shard count mismatch": {
-			[]*ShardResult{fabShard("aaa", 0, 2, 4, 0, 2), fabShard("aaa", 1, 3, 4, 1)},
+			[]*RunLog{fabShard("aaa", 0, 2, 4, 0, 2), fabShard("aaa", 1, 3, 4, 1)},
 			"shape mismatch",
 		},
 		"total mismatch": {
-			[]*ShardResult{fabShard("aaa", 0, 2, 4, 0, 2), fabShard("aaa", 1, 2, 6, 1, 3, 5)},
+			[]*RunLog{fabShard("aaa", 0, 2, 4, 0, 2), fabShard("aaa", 1, 2, 6, 1, 3, 5)},
 			"shape mismatch",
 		},
 		"invalid shard coordinates": {
-			[]*ShardResult{fabShard("aaa", 2, 2, 4, 0)},
+			[]*RunLog{fabShard("aaa", 2, 2, 4, 0)},
 			"out of range",
 		},
 		"missing shard": {
-			[]*ShardResult{fabShard("aaa", 0, 2, 4, 0, 2)},
+			[]*RunLog{fabShard("aaa", 0, 2, 4, 0, 2)},
 			"shard(s) 1 of 2",
 		},
 		"incomplete shard": {
-			[]*ShardResult{fabShard("aaa", 0, 2, 4, 0, 2), fabShard("aaa", 1, 2, 4, 1)},
+			[]*RunLog{fabShard("aaa", 0, 2, 4, 0, 2), fabShard("aaa", 1, 2, 4, 1)},
 			"missing",
 		},
 		"duplicate shard": {
-			[]*ShardResult{fabShard("aaa", 0, 2, 4, 0, 2), fabShard("aaa", 0, 2, 4, 0, 2), fabShard("aaa", 1, 2, 4, 1, 3)},
+			[]*RunLog{fabShard("aaa", 0, 2, 4, 0, 2), fabShard("aaa", 0, 2, 4, 0, 2), fabShard("aaa", 1, 2, 4, 1, 3)},
 			"duplicate run index 0",
 		},
 		"foreign index": {
-			[]*ShardResult{fabShard("aaa", 0, 2, 4, 0, 1), fabShard("aaa", 1, 2, 4, 1, 3)},
+			[]*RunLog{fabShard("aaa", 0, 2, 4, 0, 1), fabShard("aaa", 1, 2, 4, 1, 3)},
 			"does not belong to shard 0/2",
 		},
 		"index out of range": {
-			[]*ShardResult{fabShard("aaa", 0, 2, 4, 0, 99), fabShard("aaa", 1, 2, 4, 1, 3)},
+			[]*RunLog{fabShard("aaa", 0, 2, 4, 0, 99), fabShard("aaa", 1, 2, 4, 1, 3)},
 			"outside 0..3",
 		},
 	}
@@ -316,46 +311,62 @@ func TestMergeShardsDiagnostics(t *testing.T) {
 	}
 }
 
+// hugeTotalLog is a run-log whose header claims the largest possible grid
+// — valid as far as ReadRunLog can tell, so a merge sees it as is.
+const hugeTotalLog = `{"run_log":1,"grid_digest":"d","k":0,"n":1,"total":9223372036854775807}` + "\n"
+
+// TestMergeShardsUntrustedTotal: a header's total comes off disk, so a
+// merge must count the supplied runs before sizing anything by it. The
+// largest total is an error, not a makeslice panic; a large one allocates
+// nothing in proportion; and a shard count as large as the total still
+// yields a bounded diagnostic.
+func TestMergeShardsUntrustedTotal(t *testing.T) {
+	log, err := ReadRunLog(strings.NewReader(hugeTotalLog))
+	if err != nil {
+		t.Fatalf("ReadRunLog refused the header: %v", err)
+	}
+	_, err = MergeShards(log)
+	if err == nil || !strings.Contains(err.Error(), "9223372036854775807 of 9223372036854775807 run indices missing") ||
+		!strings.Contains(err.Error(), "shard(s) 0 of 1") {
+		t.Fatalf("huge-total merge: err = %v, want the missing-indices diagnostic", err)
+	}
+
+	const total = 1 << 18
+	big := fabShard("d", 0, 1, total, 0, 1, 3)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = MergeShards(big)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "(first: 2)") {
+		t.Fatalf("sparse merge: err = %v, want the first missing index 2", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("merging 3 of %d runs allocated %d bytes", total, grew)
+	}
+
+	wide := fabShard("d", 5, math.MaxInt, math.MaxInt, 5)
+	_, err = MergeShards(wide)
+	if err == nil || !strings.HasSuffix(err.Error(), ",... of 9223372036854775807") {
+		t.Fatalf("wide merge: err = %v, want a truncated shard list", err)
+	}
+}
+
 // TestMergeRejectsMixedValidateInvariants: the sweep-level oracle flag
 // changes what a run can report (violations become Errs), so shards
 // swept with and without it carry different digests and must not merge.
 func TestMergeRejectsMixedValidateInvariants(t *testing.T) {
 	grid := &Grid{CCs: []string{"cubic", "olia"}, DurationMs: 100}
-	plain, err := (&Sweep{Workers: 1}).RunShard(grid, Shard{K: 0, N: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked, err := (&Sweep{Workers: 1, ValidateInvariants: true}).RunShard(grid, Shard{K: 1, N: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.GridDigest == checked.GridDigest {
+	plain := streamShard(t, &Sweep{Workers: 1}, grid, Shard{K: 0, N: 2}, LogOptions{})
+	checked := streamShard(t, &Sweep{Workers: 1, ValidateInvariants: true}, grid, Shard{K: 1, N: 2}, LogOptions{})
+	if plain.Header.GridDigest == checked.Header.GridDigest {
 		t.Fatal("validated and unvalidated shards share a grid digest")
 	}
 	if _, err := MergeShards(plain, checked); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
 		t.Fatalf("mixed-provenance merge not rejected: %v", err)
 	}
 	// Two validated shards still merge.
-	other, err := (&Sweep{Workers: 2, ValidateInvariants: true}).RunShard(grid, Shard{K: 0, N: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	other := streamShard(t, &Sweep{Workers: 2, ValidateInvariants: true}, grid, Shard{K: 0, N: 2}, LogOptions{})
 	if _, err := MergeShards(checked, other); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMergeShardsRejectsShortHashes(t *testing.T) {
-	a := fabShard("aaa", 0, 2, 2, 0)
-	a.Hashes = []string{"h0", "h1"}
-	b := fabShard("aaa", 1, 2, 2, 1)
-	if _, err := MergeShards(a, b); err == nil || !strings.Contains(err.Error(), "hashes") {
-		t.Fatalf("hash/run length mismatch not diagnosed: %v", err)
-	}
-}
-
-func TestLoadShardRejectsUnknownFields(t *testing.T) {
-	if _, err := LoadShard(strings.NewReader(`{"grid_digest":"a","k":0,"n":1,"total":0,"runs":[],"surprise":1}`)); err == nil {
-		t.Fatal("unknown artifact field accepted")
 	}
 }

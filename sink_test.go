@@ -110,31 +110,38 @@ func (c *checkingSink) Accept(done, total int, s RunSummary, full *Result) error
 func (c *checkingSink) Flush() error { return nil }
 func (c *checkingSink) Close() error { c.closed++; return nil }
 
-// TestStreamSinkContract drives a caller sink through Stream next to the
-// deprecated hook adapters and checks both see the full serialised,
-// exactly-once, done-monotone delivery — the contract the adapters must
-// preserve now that they ride the sink path.
+// sinkFunc adapts a per-run callback to a RunSink with nothing to flush
+// or close.
+type sinkFunc func(done, total int, s RunSummary, full *Result)
+
+func (f sinkFunc) Accept(done, total int, s RunSummary, full *Result) error {
+	f(done, total, s, full)
+	return nil
+}
+
+func (sinkFunc) Flush() error { return nil }
+func (sinkFunc) Close() error { return nil }
+
+// TestStreamSinkContract drives caller sinks through both entry points —
+// Stream directly, and Run's extra sinks next to its MemorySink — and
+// checks each sees the full serialised, exactly-once, done-monotone
+// delivery and is closed exactly once.
 func TestStreamSinkContract(t *testing.T) {
 	check := &checkingSink{t: t}
-	hookDone := 0
-	s := &Sweep{
-		Workers: 8,
-		OnResult: func(done, total int, r RunSummary) {
-			if done != hookDone+1 {
-				t.Errorf("hook done jumped from %d to %d", hookDone, done)
-			}
-			hookDone = done
-		},
-	}
-	if err := s.Stream(sweepGrid(), StreamSpec{}, check); err != nil {
+	if err := (&Sweep{Workers: 8}).Stream(sweepGrid(), StreamSpec{}, check); err != nil {
 		t.Fatal(err)
 	}
-	if check.prevDone != 4 || len(check.seen) != 4 || hookDone != 4 {
-		t.Fatalf("sink saw %d/%d, hook saw %d, want 4 everywhere",
-			check.prevDone, len(check.seen), hookDone)
+	extra := &checkingSink{t: t}
+	if _, err := (&Sweep{Workers: 8}).Run(sweepGrid(), extra); err != nil {
+		t.Fatal(err)
 	}
-	if check.closed != 1 {
-		t.Fatalf("Stream closed the sink %d times, want exactly once", check.closed)
+	for name, c := range map[string]*checkingSink{"Stream": check, "Run": extra} {
+		if c.prevDone != 4 || len(c.seen) != 4 {
+			t.Fatalf("%s sink saw %d/%d, want 4/4", name, c.prevDone, len(c.seen))
+		}
+		if c.closed != 1 {
+			t.Fatalf("%s closed the sink %d times, want exactly once", name, c.closed)
+		}
 	}
 }
 

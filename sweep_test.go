@@ -295,7 +295,10 @@ func TestSweepGapsAndGroups(t *testing.T) {
 		Orders:     [][]int{{2, 1, 3}, {1, 2, 3}},
 		DurationMs: 200,
 	}
-	res, err := (&Sweep{Workers: 4, Keep: true}).Run(grid)
+	// A retaining sink keeps every full Result next to the summaries.
+	kept := make(map[int]*Result)
+	keep := sinkFunc(func(_, _ int, s RunSummary, full *Result) { kept[s.Index] = full })
+	res, err := (&Sweep{Workers: 4}).Run(grid, keep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,13 +323,13 @@ func TestSweepGapsAndGroups(t *testing.T) {
 		if run.Gap <= -0.5 || run.Gap >= 1 {
 			t.Fatalf("run %d gap out of range: %v", run.Index, run.Gap)
 		}
-		if res.Results[run.Index] == nil {
-			t.Fatalf("Keep did not retain result %d", run.Index)
+		if kept[run.Index] == nil {
+			t.Fatalf("sink did not see result %d", run.Index)
 		}
 	}
 	// The per-run gap must be consistent with the retained Result.
 	for i, run := range res.Runs {
-		if got := res.Results[i].Summary.Gap; got != run.Gap {
+		if got := kept[i].Summary.Gap; got != run.Gap {
 			t.Fatalf("run %d summary gap %v != sweep gap %v", i, got, run.Gap)
 		}
 	}

@@ -157,89 +157,83 @@ func TestSweepTelemetryRollup(t *testing.T) {
 	}
 }
 
-// TestSweepHooksSerialised locks the OnResult/OnFailure contract the
-// progress meter and flight dumps build on: callbacks never run
+// TestSweepHooksSerialised locks the per-run sink contract the progress
+// meter and flight dumps build on: a sink passed to Run is never called
 // concurrently, done increments by exactly one per call, and every run is
-// reported. The hooks are now adapter sinks over the RunSink path, so
-// this test also pins that the adapters preserved the contract (the
-// sink-side half is TestStreamSinkContract in sink_test.go).
+// reported — with telemetry on, so every call also carries a full Result
+// (the sink-side half over Stream is TestStreamSinkContract in
+// sink_test.go).
 func TestSweepHooksSerialised(t *testing.T) {
 	var inHook int32
 	prevDone := 0
 	seen := make(map[int]bool)
-	s := &Sweep{
-		Workers:   8,
-		Telemetry: true,
-		OnResult: func(done, total int, r RunSummary) {
-			if !atomic.CompareAndSwapInt32(&inHook, 0, 1) {
-				t.Error("OnResult ran concurrently with another hook")
-			}
-			if done != prevDone+1 {
-				t.Errorf("done jumped from %d to %d", prevDone, done)
-			}
-			prevDone = done
-			if total != 4 {
-				t.Errorf("total = %d, want 4", total)
-			}
-			if seen[r.Index] {
-				t.Errorf("run %d reported twice", r.Index)
-			}
-			seen[r.Index] = true
-			time.Sleep(time.Millisecond) // widen any race window
-			atomic.StoreInt32(&inHook, 0)
-		},
-		OnFailure: func(r RunSummary, res *Result) {
-			t.Errorf("OnFailure for passing run %d: %s", r.Index, r.Err)
-		},
-	}
-	if _, err := s.Run(sweepGrid()); err != nil {
+	hook := sinkFunc(func(done, total int, r RunSummary, full *Result) {
+		if !atomic.CompareAndSwapInt32(&inHook, 0, 1) {
+			t.Error("sink ran concurrently with another delivery")
+		}
+		if done != prevDone+1 {
+			t.Errorf("done jumped from %d to %d", prevDone, done)
+		}
+		prevDone = done
+		if total != 4 {
+			t.Errorf("total = %d, want 4", total)
+		}
+		if seen[r.Index] {
+			t.Errorf("run %d reported twice", r.Index)
+		}
+		seen[r.Index] = true
+		if r.Err != "" || full == nil || full.Telemetry == nil {
+			t.Errorf("run %d: err %q, full result %v", r.Index, r.Err, full != nil)
+		}
+		time.Sleep(time.Millisecond) // widen any race window
+		atomic.StoreInt32(&inHook, 0)
+	})
+	if _, err := (&Sweep{Workers: 8, Telemetry: true}).Run(sweepGrid(), hook); err != nil {
 		t.Fatal(err)
 	}
 	if prevDone != 4 || len(seen) != 4 {
-		t.Fatalf("hooks saw %d completions over %d runs, want 4/4", prevDone, len(seen))
+		t.Fatalf("sink saw %d completions over %d runs, want 4/4", prevDone, len(seen))
 	}
 }
 
 // TestSweepOnFailureFlightTail drives runs into a mid-run abort (tiny
-// event limit) and checks OnFailure hands over a partial result whose
-// flight-recorder tail is dumpable — and hands nil when telemetry is off.
+// event limit) and checks a sink's failed deliveries carry a partial
+// result whose flight-recorder tail is dumpable — and no result when
+// telemetry is off.
 func TestSweepOnFailureFlightTail(t *testing.T) {
 	grid := sweepGrid()
 	grid.Base.EventLimit = 5000
 
 	failures := 0
-	s := &Sweep{
-		Workers:   4,
-		Telemetry: true,
-		OnFailure: func(r RunSummary, res *Result) {
-			failures++
-			if r.Err == "" {
-				t.Errorf("OnFailure for run %d without an error", r.Index)
-			}
-			if res == nil {
-				t.Fatalf("run %d failed with telemetry on but no partial result", r.Index)
-			}
-			if res.FlightEvents() == 0 {
-				t.Fatalf("run %d partial result has no flight tail", r.Index)
-			}
-			var buf bytes.Buffer
-			if err := res.WriteFlightRecorder(&buf); err != nil {
-				t.Fatal(err)
-			}
-			line := buf.String()[strings.LastIndex(strings.TrimRight(buf.String(), "\n"), "\n")+1:]
-			var tail struct {
-				Kind  string `json:"kind"`
-				Where string `json:"where"`
-			}
-			if err := json.Unmarshal([]byte(line), &tail); err != nil {
-				t.Fatalf("flight tail line: %v: %s", err, line)
-			}
-			if tail.Kind == "" || tail.Where == "" {
-				t.Fatalf("flight tail does not name the event/location: %s", line)
-			}
-		},
-	}
-	res, err := s.Run(grid)
+	onFailure := sinkFunc(func(_, _ int, r RunSummary, res *Result) {
+		if r.Err == "" {
+			t.Errorf("run %d passed under a 5000-event limit", r.Index)
+			return
+		}
+		failures++
+		if res == nil {
+			t.Fatalf("run %d failed with telemetry on but no partial result", r.Index)
+		}
+		if res.FlightEvents() == 0 {
+			t.Fatalf("run %d partial result has no flight tail", r.Index)
+		}
+		var buf bytes.Buffer
+		if err := res.WriteFlightRecorder(&buf); err != nil {
+			t.Fatal(err)
+		}
+		line := buf.String()[strings.LastIndex(strings.TrimRight(buf.String(), "\n"), "\n")+1:]
+		var tail struct {
+			Kind  string `json:"kind"`
+			Where string `json:"where"`
+		}
+		if err := json.Unmarshal([]byte(line), &tail); err != nil {
+			t.Fatalf("flight tail line: %v: %s", err, line)
+		}
+		if tail.Kind == "" || tail.Where == "" {
+			t.Fatalf("flight tail does not name the event/location: %s", line)
+		}
+	})
+	res, err := (&Sweep{Workers: 4, Telemetry: true}).Run(grid, onFailure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,19 +247,22 @@ func TestSweepOnFailureFlightTail(t *testing.T) {
 		t.Fatalf("rollup over aborted runs = %+v, want 0 runs", res.Telemetry)
 	}
 
-	// Without telemetry there is no recorder: OnFailure still fires, with a
-	// nil result.
+	// Without telemetry there is no recorder: failures still arrive, with
+	// a nil result.
 	gotNil := 0
-	s = &Sweep{Workers: 2, OnFailure: func(r RunSummary, res *Result) {
+	noTelemetry := sinkFunc(func(_, _ int, r RunSummary, res *Result) {
+		if r.Err == "" {
+			return
+		}
 		if res != nil {
 			t.Errorf("run %d: partial result without telemetry", r.Index)
 		}
 		gotNil++
-	}}
-	if _, err := s.Run(grid); err != nil {
+	})
+	if _, err := (&Sweep{Workers: 2}).Run(grid, noTelemetry); err != nil {
 		t.Fatal(err)
 	}
 	if gotNil == 0 {
-		t.Fatal("OnFailure never fired without telemetry")
+		t.Fatal("no failure delivered without telemetry")
 	}
 }
