@@ -1,6 +1,7 @@
 // Command simcheck is the randomized correctness harness. It has two
-// modes sharing one generator, one worker pool and one determinism
-// contract (reports are byte-identical across reruns and -workers).
+// modes sharing one generator and one determinism contract (reports are
+// byte-identical across reruns and -workers), and runs both on the worker
+// pool the sweep uses.
 //
 // The plain mode generates N pseudo-random scenarios (seeded topologies
 // with overlapping paths, congestion-control/scheduler/ordering draws,
@@ -60,11 +61,11 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
-	"time"
 
 	"mptcpsim"
 	"mptcpsim/internal/check"
+	"mptcpsim/internal/cli"
+	"mptcpsim/internal/par"
 	"mptcpsim/internal/prof"
 	"mptcpsim/internal/telemetry"
 )
@@ -183,16 +184,8 @@ func dumpFlight(i int, res *mptcpsim.Result) string {
 		return ""
 	}
 	path := filepath.Join(flightDir, fmt.Sprintf("flight-%d.ndjson", i))
-	f, err := os.Create(path)
-	if err != nil {
+	if err := cli.WriteFile(path, res.WriteFlightRecorder); err != nil {
 		return fmt.Sprintf(" (flight dump failed: %v)", err)
-	}
-	werr := res.WriteFlightRecorder(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Sprintf(" (flight dump failed: %v)", werr)
 	}
 	return " (flight tail: " + path + ")"
 }
@@ -216,35 +209,6 @@ func checkSpec(i int, base int64) outcome {
 // without a genuinely broken simulator.
 var checkSpecFn = checkSpec
 
-// forEach fans fn(i) for i in [0,n) across a worker pool. Callers write
-// results into index-addressed slots, so their output stays
-// deterministic whatever the pool size — the seam the plain and trend
-// modes share.
-func forEach(n, workers int, fn func(int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for k := 0; k < workers; k++ {
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-}
-
 // runCheck executes n scenarios across the worker pool and writes the
 // deterministic report to w. It returns the per-class failure tally and
 // every scenario's full hash ("" where the scenario failed). The report
@@ -252,7 +216,7 @@ func forEach(n, workers int, fn func(int)) {
 // identical for a given (n, seed) whatever the pool size.
 func runCheck(n int, seed int64, workers int, quiet bool, w io.Writer) (tally, []string) {
 	results := make([]outcome, n)
-	forEach(n, workers, func(i int) {
+	par.Each(n, workers, func(i int) {
 		r := checkSpecFn(i, seed)
 		results[i] = r
 		if onScenario != nil {
@@ -337,7 +301,7 @@ func runTrend(nLadders, steps int, seed int64, workers int, quiet bool, w io.Wri
 		obs[i] = make([]check.RungObs, rungs)
 		kinds[i] = make([]failKind, rungs)
 	}
-	forEach(nLadders*rungs, workers, func(j int) {
+	par.Each(nLadders*rungs, workers, func(j int) {
 		li, k := j/rungs, j%rungs
 		o, kd := runRung(lads[li].Rungs[k], lads[li].Path)
 		obs[li][k], kinds[li][k] = o, kd
@@ -495,23 +459,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *progr != "" {
-		w := io.Writer(stderr)
-		if *progr != "-" {
-			f, err := os.Create(*progr)
-			if err != nil {
-				return usage("%v", err)
-			}
-			defer f.Close()
-			w = f
-		}
 		total := *n
 		if *trend {
 			total = *ladders * (*steps + 1)
 		}
-		meter := telemetry.NewMeter(w, total, *workers, time.Second)
-		meter.Activate()
+		meter, closeMeter, err := cli.StartMeter(*progr, total, *workers, stderr)
+		if err != nil {
+			return usage("%v", err)
+		}
 		onScenario = func(failed bool) { meter.Record(failed) }
-		defer meter.Close()
+		defer closeMeter()
 	}
 	if *httpA != "" {
 		addr, closeSrv, err := telemetry.DebugServer(*httpA)
@@ -547,16 +504,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if t.failed() > 0 {
 			fmt.Fprintln(stderr, "simcheck: refusing to record a golden corpus from a failing run")
 		} else {
-			f, err := os.Create(*writeG)
+			err := cli.WriteFile(*writeG, func(w io.Writer) error {
+				return check.WriteGolden(w, check.Golden{Seed: *seed, Hashes: hashes})
+			})
 			if err != nil {
 				return usage("%v", err)
-			}
-			werr := check.WriteGolden(f, check.Golden{Seed: *seed, Hashes: hashes})
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				return usage("%v", werr)
 			}
 			fmt.Fprintf(stderr, "simcheck: recorded %d hashes to %s\n", len(hashes), *writeG)
 		}

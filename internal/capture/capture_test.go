@@ -65,16 +65,16 @@ func TestSnifferBinsByTag(t *testing.T) {
 	}
 	sn := NewSniffer(r.net, r.b, 100*time.Millisecond)
 	// 10 packets of tag 1 in bin 0; 5 of tag 2 in bin 1.
-	r.loop.Schedule(10*time.Millisecond, func() {
+	r.loop.Schedule(10*time.Millisecond, sim.Func(func() {
 		for i := 0; i < 10; i++ {
 			r.send(1, 972) // 1000B wire
 		}
-	})
-	r.loop.Schedule(110*time.Millisecond, func() {
+	}))
+	r.loop.Schedule(110*time.Millisecond, sim.Func(func() {
 		for i := 0; i < 5; i++ {
 			r.send(2, 972)
 		}
-	})
+	}))
 	if err := r.loop.RunUntil(sim.Time(300 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestSnifferGoodputVsWire(t *testing.T) {
 	wire := NewSniffer(r.net, r.b, 100*time.Millisecond)
 	good := NewSniffer(r.net, r.b, 100*time.Millisecond)
 	good.CountWire = false
-	r.loop.Schedule(0, func() { r.send(1, 972) })
+	r.loop.Schedule(0, sim.Func(func() { r.send(1, 972) }))
 	if err := r.loop.RunUntil(sim.Time(100 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +144,11 @@ func TestLinkSniffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	ls := NewLinkSniffer(r.net, 0, 100*time.Millisecond) // link 0 = a->b
-	r.loop.Schedule(0, func() {
+	r.loop.Schedule(0, sim.Func(func() {
 		for i := 0; i < 4; i++ {
 			r.send(1, 972)
 		}
-	})
+	}))
 	if err := r.loop.RunUntil(sim.Time(200 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +165,8 @@ func TestPCAPRoundTrip(t *testing.T) {
 	}
 	sn := NewSniffer(r.net, r.b, 100*time.Millisecond)
 	sn.Retain = true
-	r.loop.Schedule(5*time.Millisecond, func() { r.send(1, 100) })
-	r.loop.Schedule(15*time.Millisecond, func() { r.send(2, 200) })
+	r.loop.Schedule(5*time.Millisecond, sim.Func(func() { r.send(1, 100) }))
+	r.loop.Schedule(15*time.Millisecond, sim.Func(func() { r.send(2, 200) }))
 	if err := r.loop.RunUntil(sim.Time(100 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestFormatFrame(t *testing.T) {
 	sn.Retain = true
 	// A TCP data packet with MPTCP DSS and a UDP packet.
 	src, _ := r.net.AddrOf(r.a)
-	r.loop.Schedule(0, func() {
+	r.loop.Schedule(0, sim.Func(func() {
 		r.net.Node(r.a).Send(&packet.Packet{
 			IP: packet.IPv4{Tag: 2, TTL: 64, Proto: packet.ProtoTCP, Src: src, Dst: r.dst},
 			TCP: &packet.TCP{SrcPort: 40000, DstPort: 2, Seq: 2801, Ack: 1,
@@ -231,7 +231,7 @@ func TestFormatFrame(t *testing.T) {
 			PayloadLen: 1400,
 		})
 		r.send(1, 64)
-	})
+	}))
 	if err := r.loop.RunUntil(sim.Time(100 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}

@@ -68,9 +68,9 @@ func TestOracleCleanRun(t *testing.T) {
 	loop, net, src, aAddr, cAddr := lineNet(t, 10*unit.Mbps, time.Millisecond)
 	o := NewOracle(net, staticEpochs(net.Graph, 200*time.Millisecond))
 	for i := 0; i < 50; i++ {
-		loop.Schedule(time.Duration(i)*time.Millisecond, func() {
+		loop.Schedule(time.Duration(i)*time.Millisecond, sim.Func(func() {
 			src.Send(dataPkt(aAddr, cAddr, 1000))
-		})
+		}))
 	}
 	if err := loop.RunUntil(sim.Time(200 * time.Millisecond)); err != nil {
 		t.Fatal(err)
@@ -88,11 +88,11 @@ func TestOracleCleanRun(t *testing.T) {
 func TestOracleConservesMidFlight(t *testing.T) {
 	loop, net, src, aAddr, cAddr := lineNet(t, 1*unit.Mbps, 5*time.Millisecond)
 	o := NewOracle(net, staticEpochs(net.Graph, 10*time.Millisecond))
-	loop.Schedule(0, func() {
+	loop.Schedule(0, sim.Func(func() {
 		for i := 0; i < 40; i++ {
 			src.Send(dataPkt(aAddr, cAddr, 1000))
 		}
-	})
+	}))
 	// 40 KB at 1 Mbps takes 320 ms; stop after 10 ms with most of it
 	// queued, one frame serialising and possibly one propagating.
 	if err := loop.RunUntil(sim.Time(10 * time.Millisecond)); err != nil {
@@ -111,12 +111,12 @@ func TestOracleConservesMidFlight(t *testing.T) {
 func TestOracleConservesAcrossLinkDownDrain(t *testing.T) {
 	loop, net, src, aAddr, cAddr := lineNet(t, 1*unit.Mbps, time.Millisecond)
 	o := NewOracle(net, staticEpochs(net.Graph, 100*time.Millisecond))
-	loop.Schedule(0, func() {
+	loop.Schedule(0, sim.Func(func() {
 		for i := 0; i < 30; i++ {
 			src.Send(dataPkt(aAddr, cAddr, 1000))
 		}
-	})
-	loop.Schedule(20*time.Millisecond, func() { net.Link(0).SetDown() })
+	}))
+	loop.Schedule(20*time.Millisecond, sim.Func(func() { net.Link(0).SetDown() }))
 	if err := loop.RunUntil(sim.Time(100 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestOracleConservesAcrossLinkDownDrain(t *testing.T) {
 func TestOracleFlagsTamperedAccounting(t *testing.T) {
 	loop, net, src, aAddr, cAddr := lineNet(t, 10*unit.Mbps, time.Millisecond)
 	o := NewOracle(net, staticEpochs(net.Graph, 100*time.Millisecond))
-	loop.Schedule(0, func() { src.Send(dataPkt(aAddr, cAddr, 1000)) })
+	loop.Schedule(0, sim.Func(func() { src.Send(dataPkt(aAddr, cAddr, 1000)) }))
 	if err := loop.RunUntil(sim.Time(100 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +151,11 @@ func TestOracleFlagsCapacityExcess(t *testing.T) {
 		epochs[0].Mbps[i] = 0.001 // claim ~12.5 bytes of budget
 	}
 	o := NewOracle(net, epochs)
-	loop.Schedule(0, func() {
+	loop.Schedule(0, sim.Func(func() {
 		for i := 0; i < 20; i++ {
 			src.Send(dataPkt(aAddr, cAddr, 1000))
 		}
-	})
+	}))
 	if err := loop.RunUntil(sim.Time(100 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
@@ -167,10 +167,10 @@ func TestOracleFlagsCapacityExcess(t *testing.T) {
 func TestOracleFlagsReordering(t *testing.T) {
 	loop, net, src, aAddr, cAddr := lineNet(t, 10*unit.Mbps, time.Millisecond)
 	o := NewOracle(net, staticEpochs(net.Graph, 100*time.Millisecond))
-	loop.Schedule(0, func() {
+	loop.Schedule(0, sim.Func(func() {
 		src.Send(dataPkt(aAddr, cAddr, 1000))
 		src.Send(dataPkt(aAddr, cAddr, 1000))
-	})
+	}))
 	if err := loop.RunUntil(sim.Time(100 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
@@ -200,11 +200,11 @@ func TestFlightRecorderNamesOffendingLink(t *testing.T) {
 	o := NewOracle(net, epochs)
 	rec := telemetry.NewRecorder(64)
 	rec.Attach(net)
-	loop.Schedule(0, func() {
+	loop.Schedule(0, sim.Func(func() {
 		for i := 0; i < 20; i++ {
 			src.Send(dataPkt(aAddr, cAddr, 1000))
 		}
-	})
+	}))
 	if err := loop.RunUntil(sim.Time(100 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}

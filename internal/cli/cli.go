@@ -1,8 +1,9 @@
-// Package cli holds the command-line code cmd/sweep and cmd/sweepd share:
-// grid loading, report rendering with output-file writing, and the
-// -progress meter. One copy of each keeps the two commands' outputs
-// byte-identical for the same result, which is what the fleet's
-// byte-identity contract is measured against.
+// Package cli holds the command-line code cmd/sweep, cmd/sweepd and
+// cmd/simcheck share: grid loading and report rendering (the two sweep
+// commands), output-file writing and the -progress meter (all three). One
+// copy of each keeps sweep's and sweepd's outputs byte-identical for the
+// same result, which is what the fleet's byte-identity contract is
+// measured against, and gives every command the same heartbeat stream.
 package cli
 
 import (

@@ -392,7 +392,7 @@ func (tl *Timeline) Schedule(loop *sim.Loop, net *netem.Network, lossRng func() 
 	apps := make([]applyEvent, len(tl.events))
 	for i := range tl.events {
 		apps[i] = applyEvent{tl: tl, loop: loop, net: net, idx: i}
-		loop.AtCall(sim.Time(tl.events[i].At), &apps[i])
+		loop.At(sim.Time(tl.events[i].At), &apps[i])
 	}
 }
 
@@ -428,7 +428,7 @@ func (a *applyEvent) Run(sim.Time) {
 			r.link = l
 			r.prev = l.LossProb()
 			l.SetLossProb(e.Loss)
-			a.loop.ScheduleCall(e.Burst, r)
+			a.loop.Schedule(e.Burst, r)
 		}
 	}
 }

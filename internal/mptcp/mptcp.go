@@ -171,7 +171,7 @@ func Dial(h *tcp.Host, rng *sim.Rand, cfg Config, raddr packet.Addr, rport packe
 			sf.TCP = conn
 		}
 		if spec.StartDelay > 0 {
-			c.loop.Schedule(spec.StartDelay, start)
+			c.loop.Schedule(spec.StartDelay, sim.Func(start))
 		} else {
 			start()
 		}

@@ -340,9 +340,9 @@ func TestMinRTTPrefersFastPathForScarceData(t *testing.T) {
 	tick = func() {
 		src.avail = src.chunk
 		c.Kick()
-		r.loop.Schedule(20*time.Millisecond, tick)
+		r.loop.Schedule(20*time.Millisecond, sim.Func(tick))
 	}
-	r.loop.Schedule(100*time.Millisecond, tick) // after handshakes
+	r.loop.Schedule(100*time.Millisecond, sim.Func(tick)) // after handshakes
 	if err := r.loop.RunFor(3 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -380,9 +380,9 @@ func TestRoundRobinRotates(t *testing.T) {
 	tick = func() {
 		src.avail = 1400
 		c.Kick()
-		r.loop.Schedule(10*time.Millisecond, tick)
+		r.loop.Schedule(10*time.Millisecond, sim.Func(tick))
 	}
-	r.loop.Schedule(100*time.Millisecond, tick)
+	r.loop.Schedule(100*time.Millisecond, sim.Func(tick))
 	if err := r.loop.RunFor(3 * time.Second); err != nil {
 		t.Fatal(err)
 	}

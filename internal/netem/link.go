@@ -321,7 +321,7 @@ func (l *Link) startTx() {
 		l.memoTx = l.Spec.Rate.TxTime(sz)
 	}
 	l.txTime = l.memoTx
-	l.net.Loop.ScheduleCall(l.txTime, &l.txDone)
+	l.net.Loop.Schedule(l.txTime, &l.txDone)
 }
 
 // finishTx runs when the last bit of the serialising frame leaves the
@@ -355,7 +355,7 @@ func (l *Link) finishTx(now sim.Time) {
 	l.lastArrivalAt = arriveAt
 	l.net.propagating++
 	l.infl = append(l.infl, pkt)
-	l.net.Loop.AtCall(arriveAt, &l.arrive)
+	l.net.Loop.At(arriveAt, &l.arrive)
 	if l.queueLen() == 0 {
 		l.lastIdleAt = now
 	}

@@ -90,7 +90,7 @@ func TestStoreAndForwardTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := dataPkt(aAddr, cAddr, 1, 1250-packet.IPv4HeaderLen-packet.UDPHeaderLen)
-	loop.Schedule(0, func() { a.Send(p) })
+	loop.Schedule(0, sim.Func(func() { a.Send(p) }))
 	if err := loop.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +112,10 @@ func TestPipelining(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := 1250 - packet.IPv4HeaderLen - packet.UDPHeaderLen
-	loop.Schedule(0, func() {
+	loop.Schedule(0, sim.Func(func() {
 		a.Send(dataPkt(aAddr, cAddr, 1, payload))
 		a.Send(dataPkt(aAddr, cAddr, 1, payload))
-	})
+	}))
 	if err := loop.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +134,11 @@ func TestFIFOOrderPreserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 50
-	loop.Schedule(0, func() {
+	loop.Schedule(0, sim.Func(func() {
 		for i := 0; i < n; i++ {
 			a.Send(dataPkt(aAddr, cAddr, 1, 100+i))
 		}
-	})
+	}))
 	if err := loop.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +162,11 @@ func TestQueueOverflowDropsTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := 1250 - packet.IPv4HeaderLen - packet.UDPHeaderLen
-	loop.Schedule(0, func() {
+	loop.Schedule(0, sim.Func(func() {
 		for i := 0; i < 10; i++ {
 			a.Send(dataPkt(aAddr, cAddr, 1, payload))
 		}
-	})
+	}))
 	if err := loop.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestNoRouteDrop(t *testing.T) {
 	loop, net, a, _, aAddr, cAddr := lineNet(t, unit.Mbps, time.Millisecond, unit.MB)
 	rec := &recorder{loop: loop}
 	net.AttachTap(rec)
-	loop.Schedule(0, func() { a.Send(dataPkt(aAddr, cAddr, 42, 100)) })
+	loop.Schedule(0, sim.Func(func() { a.Send(dataPkt(aAddr, cAddr, 42, 100)) }))
 	if err := loop.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestNoHandlerDrop(t *testing.T) {
 	rec := &recorder{loop: loop}
 	net.AttachTap(rec)
 	// Nothing registered at port 9001 on c.
-	loop.Schedule(0, func() { a.Send(dataPkt(aAddr, cAddr, 1, 100)) })
+	loop.Schedule(0, sim.Func(func() { a.Send(dataPkt(aAddr, cAddr, 1, 100)) }))
 	if err := loop.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestTTLExpiry(t *testing.T) {
 	rec := &recorder{loop: loop}
 	net.AttachTap(rec)
 	p := dataPkt(src, packet.MakeAddr(99, 9, 9, 9), 1, 10)
-	loop.Schedule(0, func() { net.Node(a).Send(p) })
+	loop.Schedule(0, sim.Func(func() { net.Node(a).Send(p) }))
 	if err := loop.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +262,11 @@ func TestRandomLoss(t *testing.T) {
 	}
 	net.Link(0).SetLoss(0.5, sim.NewRand(1))
 	const n = 2000
-	loop.Schedule(0, func() {
+	loop.Schedule(0, sim.Func(func() {
 		for i := 0; i < n; i++ {
 			a.Send(dataPkt(aAddr, cAddr, 1, 100))
 		}
-	})
+	}))
 	if err := loop.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -286,11 +286,11 @@ func TestUtilisationSaturated(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := 1250 - packet.IPv4HeaderLen - packet.UDPHeaderLen
-	loop.Schedule(0, func() {
+	loop.Schedule(0, sim.Func(func() {
 		for i := 0; i < 100; i++ {
 			a.Send(dataPkt(aAddr, cAddr, 1, payload))
 		}
-	})
+	}))
 	// 100 packets * 10ms = 1s of tx time on link a->b.
 	if err := loop.RunUntil(sim.Time(time.Second)); err != nil {
 		t.Fatal(err)
@@ -310,7 +310,7 @@ func TestTapOrderingAndTimestamps(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := 1250 - packet.IPv4HeaderLen - packet.UDPHeaderLen
-	loop.Schedule(0, func() { a.Send(dataPkt(aAddr, cAddr, 1, payload)) })
+	loop.Schedule(0, sim.Func(func() { a.Send(dataPkt(aAddr, cAddr, 1, payload)) }))
 	if err := loop.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -361,10 +361,10 @@ func TestREDDropsEarly(t *testing.T) {
 		a.Send(dataPkt(aAddr, cAddr, 1, payload))
 		i++
 		if i < 400 {
-			loop.Schedule(5*time.Millisecond, feed)
+			loop.Schedule(5*time.Millisecond, sim.Func(feed))
 		}
 	}
-	loop.Schedule(0, feed)
+	loop.Schedule(0, sim.Func(feed))
 	if err := loop.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -389,11 +389,11 @@ func TestDeterministicRuns(t *testing.T) {
 		if err := c.Register(9001, s); err != nil {
 			t.Fatal(err)
 		}
-		loop.Schedule(0, func() {
+		loop.Schedule(0, sim.Func(func() {
 			for i := 0; i < 200; i++ {
 				a.Send(dataPkt(aAddr, cAddr, 1, 1000))
 			}
-		})
+		}))
 		if err := loop.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -451,10 +451,10 @@ func TestCoDelControlsQueueDelay(t *testing.T) {
 			a.Send(dataPkt(aAddr, cAddr, 1, payload))
 			i++
 			if i < 375 {
-				loop.Schedule(8*time.Millisecond, feed)
+				loop.Schedule(8*time.Millisecond, sim.Func(feed))
 			}
 		}
-		loop.Schedule(0, feed)
+		loop.Schedule(0, sim.Func(feed))
 		if err := loop.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -491,10 +491,10 @@ func TestCoDelIdleBelowTarget(t *testing.T) {
 		a.Send(dataPkt(aAddr, cAddr, 1, 1000))
 		i++
 		if i < 100 {
-			loop.Schedule(10*time.Millisecond, feed)
+			loop.Schedule(10*time.Millisecond, sim.Func(feed))
 		}
 	}
-	loop.Schedule(0, feed)
+	loop.Schedule(0, sim.Func(feed))
 	if err := loop.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -515,15 +515,15 @@ func TestLinkDownDrainsQueueAndCutsFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := 1250 - packet.IPv4HeaderLen - packet.UDPHeaderLen
-	loop.Schedule(0, func() {
+	loop.Schedule(0, sim.Func(func() {
 		for i := 0; i < 5; i++ {
 			a.Send(dataPkt(aAddr, cAddr, 1, payload))
 		}
-	})
+	}))
 	ab := net.Link(0)
-	loop.Schedule(15*time.Millisecond, ab.SetDown)
+	loop.Schedule(15*time.Millisecond, sim.Func(ab.SetDown))
 	// A late packet offered to the dead link is dropped on admission.
-	loop.Schedule(30*time.Millisecond, func() { a.Send(dataPkt(aAddr, cAddr, 1, payload)) })
+	loop.Schedule(30*time.Millisecond, sim.Func(func() { a.Send(dataPkt(aAddr, cAddr, 1, payload)) }))
 	if err := loop.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -548,11 +548,11 @@ func TestLinkUpResumesTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	ab := net.Link(0)
-	loop.Schedule(0, ab.SetDown)
+	loop.Schedule(0, sim.Func(ab.SetDown))
 	payload := 1250 - packet.IPv4HeaderLen - packet.UDPHeaderLen
-	loop.Schedule(10*time.Millisecond, func() { a.Send(dataPkt(aAddr, cAddr, 1, payload)) })
-	loop.Schedule(20*time.Millisecond, ab.SetUp)
-	loop.Schedule(30*time.Millisecond, func() { a.Send(dataPkt(aAddr, cAddr, 1, payload)) })
+	loop.Schedule(10*time.Millisecond, sim.Func(func() { a.Send(dataPkt(aAddr, cAddr, 1, payload)) }))
+	loop.Schedule(20*time.Millisecond, sim.Func(ab.SetUp))
+	loop.Schedule(30*time.Millisecond, sim.Func(func() { a.Send(dataPkt(aAddr, cAddr, 1, payload)) }))
 	if err := loop.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -573,14 +573,14 @@ func TestSetRateRepacesNextFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := 1250 - packet.IPv4HeaderLen - packet.UDPHeaderLen
-	loop.Schedule(0, func() {
+	loop.Schedule(0, sim.Func(func() {
 		a.Send(dataPkt(aAddr, cAddr, 1, payload))
 		a.Send(dataPkt(aAddr, cAddr, 1, payload))
-	})
-	loop.Schedule(5*time.Millisecond, func() {
+	}))
+	loop.Schedule(5*time.Millisecond, sim.Func(func() {
 		net.Link(0).SetRate(2 * unit.Mbps)
 		net.Link(1).SetRate(2 * unit.Mbps)
-	})
+	}))
 	if err := loop.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -602,14 +602,14 @@ func TestSetDelayNeverReorders(t *testing.T) {
 	if err := c.Register(9001, s); err != nil {
 		t.Fatal(err)
 	}
-	loop.Schedule(0, func() {
+	loop.Schedule(0, sim.Func(func() {
 		a.Send(dataPkt(aAddr, cAddr, 1, 100))
 		a.Send(dataPkt(aAddr, cAddr, 1, 200))
-	})
-	loop.Schedule(time.Millisecond, func() {
+	}))
+	loop.Schedule(time.Millisecond, sim.Func(func() {
 		net.Link(0).SetDelay(time.Microsecond)
 		net.Link(1).SetDelay(time.Microsecond)
-	})
+	}))
 	if err := loop.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -641,11 +641,11 @@ func TestSetLossProbRuntimeChange(t *testing.T) {
 			a.Send(dataPkt(aAddr, cAddr, 1, 100))
 		}
 	}
-	loop.Schedule(0, send)                                           // lossless phase
-	loop.Schedule(10*time.Millisecond, func() { ab.SetLossProb(1) }) // total loss
-	loop.Schedule(20*time.Millisecond, send)                         // all dropped
-	loop.Schedule(30*time.Millisecond, func() { ab.SetLossProb(0) }) // restored
-	loop.Schedule(40*time.Millisecond, send)                         // lossless again
+	loop.Schedule(0, sim.Func(send))                                           // lossless phase
+	loop.Schedule(10*time.Millisecond, sim.Func(func() { ab.SetLossProb(1) })) // total loss
+	loop.Schedule(20*time.Millisecond, sim.Func(send))                         // all dropped
+	loop.Schedule(30*time.Millisecond, sim.Func(func() { ab.SetLossProb(0) })) // restored
+	loop.Schedule(40*time.Millisecond, sim.Func(send))                         // lossless again
 	if err := loop.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -672,10 +672,10 @@ func TestCutFrameStaysCutAcrossQuickUp(t *testing.T) {
 	}
 	ab := net.Link(0)
 	payload := 1250 - packet.IPv4HeaderLen - packet.UDPHeaderLen
-	loop.Schedule(0, func() { a.Send(dataPkt(aAddr, cAddr, 1, payload)) })
-	loop.Schedule(2*time.Millisecond, ab.SetDown)
-	loop.Schedule(5*time.Millisecond, ab.SetUp)
-	loop.Schedule(20*time.Millisecond, func() { a.Send(dataPkt(aAddr, cAddr, 1, payload)) })
+	loop.Schedule(0, sim.Func(func() { a.Send(dataPkt(aAddr, cAddr, 1, payload)) }))
+	loop.Schedule(2*time.Millisecond, sim.Func(ab.SetDown))
+	loop.Schedule(5*time.Millisecond, sim.Func(ab.SetUp))
+	loop.Schedule(20*time.Millisecond, sim.Func(func() { a.Send(dataPkt(aAddr, cAddr, 1, payload)) }))
 	if err := loop.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -701,11 +701,11 @@ func TestQueueAfterQuickUpResumesOnCutCompletion(t *testing.T) {
 	}
 	ab := net.Link(0)
 	payload := 1250 - packet.IPv4HeaderLen - packet.UDPHeaderLen
-	loop.Schedule(0, func() { a.Send(dataPkt(aAddr, cAddr, 1, payload)) })
-	loop.Schedule(2*time.Millisecond, ab.SetDown)
-	loop.Schedule(5*time.Millisecond, ab.SetUp)
+	loop.Schedule(0, sim.Func(func() { a.Send(dataPkt(aAddr, cAddr, 1, payload)) }))
+	loop.Schedule(2*time.Millisecond, sim.Func(ab.SetDown))
+	loop.Schedule(5*time.Millisecond, sim.Func(ab.SetUp))
 	// Enqueued at 7 ms: before the cut frame's completion at 10 ms.
-	loop.Schedule(7*time.Millisecond, func() { a.Send(dataPkt(aAddr, cAddr, 1, payload)) })
+	loop.Schedule(7*time.Millisecond, sim.Func(func() { a.Send(dataPkt(aAddr, cAddr, 1, payload)) }))
 	if err := loop.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -114,7 +114,7 @@ func TestBatchDrainMatchesUnbatchedReference(t *testing.T) {
 					prog.budget--
 					lb := nextLabel
 					nextLabel++
-					timers[lb] = l.Schedule(d, handler(lb))
+					timers[lb] = l.Schedule(d, Func(handler(lb)))
 				}
 				if a.stopLabel >= 0 {
 					if tm, ok := timers[a.stopLabel]; ok {
@@ -129,7 +129,7 @@ func TestBatchDrainMatchesUnbatchedReference(t *testing.T) {
 			rootTimes[i] = Time(rootRng.Intn(4)) // heavy same-instant collisions
 			lb := nextLabel
 			nextLabel++
-			timers[lb] = l.At(rootTimes[i], handler(lb))
+			timers[lb] = l.At(rootTimes[i], Func(handler(lb)))
 		}
 		if err := l.Run(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -199,7 +199,7 @@ func TestEqualTimestampStress(t *testing.T) {
 			if n < spawnCap {
 				n++
 				kid := roots + n
-				l.Schedule(0, spawn(kid))
+				l.Schedule(0, Func(spawn(kid)))
 			}
 			if l.Now() != Time(time.Millisecond) {
 				t.Fatalf("event %d ran at %v, want 1ms", id, l.Now())
@@ -207,7 +207,7 @@ func TestEqualTimestampStress(t *testing.T) {
 		}
 	}
 	for i := 0; i < roots; i++ {
-		l.At(Time(time.Millisecond), spawn(i))
+		l.At(Time(time.Millisecond), Func(spawn(i)))
 	}
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
@@ -236,13 +236,13 @@ func TestBatchMemberStoppedMidBatch(t *testing.T) {
 	l := NewLoop()
 	var order []string
 	var tmC Timer
-	l.Schedule(time.Millisecond, func() {
+	l.Schedule(time.Millisecond, Func(func() {
 		order = append(order, "a")
 		tmC.Stop() // c is already inside the popped batch
-		l.Schedule(0, func() { order = append(order, "d") })
-	})
-	l.Schedule(time.Millisecond, func() { order = append(order, "b") })
-	tmC = l.Schedule(time.Millisecond, func() { order = append(order, "c") })
+		l.Schedule(0, Func(func() { order = append(order, "d") }))
+	}))
+	l.Schedule(time.Millisecond, Func(func() { order = append(order, "b") }))
+	tmC = l.Schedule(time.Millisecond, Func(func() { order = append(order, "c") }))
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -257,6 +257,39 @@ func TestBatchMemberStoppedMidBatch(t *testing.T) {
 	}
 }
 
+// TestBatchSkipAfterCompactionKeepsDeadCount: a batch member stops its 10
+// same-instant peers (already popped into the batch) and then enough heap
+// timers that the last Stop compacts the heap and resets the stale count.
+// Skipping the 10 stopped peers afterwards must not drive the count
+// negative, which would delay every later compaction.
+func TestBatchSkipAfterCompactionKeepsDeadCount(t *testing.T) {
+	l := NewLoop()
+	var peers, timers []Timer
+	l.At(1, Func(func() {
+		for _, tm := range peers {
+			tm.Stop()
+		}
+		for _, tm := range timers[:41] {
+			tm.Stop()
+		}
+	}))
+	for i := 0; i < 10; i++ {
+		peers = append(peers, l.At(1, Func(func() { t.Error("stopped peer ran") })))
+	}
+	for i := 0; i < 100; i++ {
+		timers = append(timers, l.At(Time(10+i), Func(func() {})))
+	}
+	if err := l.RunUntil(5); err != nil {
+		t.Fatal(err)
+	}
+	if len(l.heap) != 59 {
+		t.Fatalf("test setup: heap holds %d entries, want 59 after compaction", len(l.heap))
+	}
+	if l.dead != 0 {
+		t.Fatalf("dead = %d after the batch, want 0", l.dead)
+	}
+}
+
 // TestBatchRequeuedOnStop: Stop() mid-batch must requeue the unexecuted
 // tail so a later RunUntil resumes exactly where the batch broke off, in
 // the original order.
@@ -264,9 +297,9 @@ func TestBatchRequeuedOnStop(t *testing.T) {
 	l := NewLoop()
 	var order []string
 	at := Time(time.Millisecond)
-	l.At(at, func() { order = append(order, "a"); l.Stop() })
-	l.At(at, func() { order = append(order, "b") })
-	l.At(at, func() { order = append(order, "c") })
+	l.At(at, Func(func() { order = append(order, "a"); l.Stop() }))
+	l.At(at, Func(func() { order = append(order, "b") }))
+	l.At(at, Func(func() { order = append(order, "c") }))
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +325,7 @@ func TestBatchRequeuedOnEventLimit(t *testing.T) {
 	at := Time(time.Millisecond)
 	for i := 0; i < 5; i++ {
 		id := i
-		l.At(at, func() { order = append(order, id) })
+		l.At(at, Func(func() { order = append(order, id) }))
 	}
 	l.SetEventLimit(2)
 	err := l.Run()

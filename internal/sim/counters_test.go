@@ -19,10 +19,10 @@ func TestCountersAccounting(t *testing.T) {
 	next = func() {
 		n++
 		if n < 10 {
-			l.Schedule(time.Millisecond, next)
+			l.Schedule(time.Millisecond, Func(next))
 		}
 	}
-	l.Schedule(time.Millisecond, next)
+	l.Schedule(time.Millisecond, Func(next))
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -40,9 +40,9 @@ func TestCountersAccounting(t *testing.T) {
 	// Phase 2: 8 concurrently pending events push both high-water marks;
 	// one stopped timer stays counted in Scheduled but never fires.
 	for i := 0; i < 8; i++ {
-		l.Schedule(time.Duration(i+1)*time.Millisecond, func() {})
+		l.Schedule(time.Duration(i+1)*time.Millisecond, Func(func() {}))
 	}
-	stopped := l.Schedule(time.Hour, func() { t.Fatal("stopped timer fired") })
+	stopped := l.Schedule(time.Hour, Func(func() { t.Fatal("stopped timer fired") }))
 	if !stopped.Stop() {
 		t.Fatal("timer did not report pending on Stop")
 	}
@@ -73,13 +73,13 @@ func TestCountersZeroAlloc(t *testing.T) {
 	sink := Counters{}
 	// Warm the arena so the measured loop stays on the free list.
 	for i := 0; i < 64; i++ {
-		l.Schedule(time.Millisecond, func() {})
+		l.Schedule(time.Millisecond, Func(func() {}))
 	}
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		l.Schedule(time.Millisecond, func() {})
+		l.Schedule(time.Millisecond, Func(func() {}))
 		if err := l.Run(); err != nil {
 			t.Fatal(err)
 		}

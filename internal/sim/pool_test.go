@@ -24,11 +24,11 @@ func TestTimerRecycledNodeABA(t *testing.T) {
 	var stale Timer
 	var fresh Timer
 	ran := 0
-	stale = l.Schedule(time.Millisecond, func() {
+	stale = l.Schedule(time.Millisecond, Func(func() {
 		// The node recycles the moment this callback starts; the next
 		// schedule reuses it.
-		fresh = l.Schedule(time.Millisecond, func() { ran++ })
-	})
+		fresh = l.Schedule(time.Millisecond, Func(func() { ran++ }))
+	}))
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +46,11 @@ func TestTimerRecycledNodeABA(t *testing.T) {
 	// nothing and stop nothing.
 	l2 := NewLoop()
 	heldRan := false
-	held := l2.Schedule(time.Millisecond, func() {})
+	held := l2.Schedule(time.Millisecond, Func(func() {}))
 	if err := l2.Run(); err != nil {
 		t.Fatal(err)
 	}
-	reuse := l2.Schedule(time.Millisecond, func() { heldRan = true })
+	reuse := l2.Schedule(time.Millisecond, Func(func() { heldRan = true }))
 	if reuse.id != held.id {
 		t.Fatalf("test setup: expected node reuse, got node %d then %d", held.id, reuse.id)
 	}
@@ -76,14 +76,14 @@ func TestTimerRecycledNodeABA(t *testing.T) {
 func TestTimerStopDuringOwnCallback(t *testing.T) {
 	l := NewLoop()
 	var tm Timer
-	tm = l.Schedule(time.Millisecond, func() {
+	tm = l.Schedule(time.Millisecond, Func(func() {
 		if tm.Stop() {
 			t.Error("Stop from inside the firing callback reported true")
 		}
 		if tm.Pending() {
 			t.Error("Pending from inside the firing callback reported true")
 		}
-	})
+	}))
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestTimerStopAfterLoopEnd(t *testing.T) {
 	l := NewLoop()
 	var timers []Timer
 	for i := 0; i < 8; i++ {
-		timers = append(timers, l.Schedule(time.Duration(i)*time.Millisecond, func() {}))
+		timers = append(timers, l.Schedule(time.Duration(i)*time.Millisecond, Func(func() {})))
 	}
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestTimerStopAfterLoopEnd(t *testing.T) {
 // copy stales every other copy.
 func TestTimerDoubleStopViaCopies(t *testing.T) {
 	l := NewLoop()
-	a := l.Schedule(time.Millisecond, func() { t.Error("stopped event ran") })
+	a := l.Schedule(time.Millisecond, Func(func() { t.Error("stopped event ran") }))
 	b := a
 	if !a.Stop() {
 		t.Fatal("first Stop should report true")
@@ -213,7 +213,7 @@ func TestQuickHeapMatchesReference(t *testing.T) {
 			case r < 5: // push
 				at := Time(rng.Intn(1000))
 				seq := l.seq // alloc consumes this seq
-				tm := l.At(at, nop)
+				tm := l.At(at, Func(nop))
 				re := &refEvent{at: l.nodes[tm.id].at, seq: seq}
 				heap.Push(ref, re)
 				live = append(live, pair{tm, re})
@@ -253,11 +253,11 @@ func TestPoolRecyclesNodes(t *testing.T) {
 	tick = func() {
 		n++
 		if n < 10000 {
-			l.Schedule(time.Microsecond, tick)
-			l.ScheduleCall(time.Microsecond, cb)
+			l.Schedule(time.Microsecond, Func(tick))
+			l.Schedule(time.Microsecond, cb)
 		}
 	}
-	l.Schedule(0, tick)
+	l.Schedule(0, Func(tick))
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -269,17 +269,18 @@ func TestPoolRecyclesNodes(t *testing.T) {
 	}
 }
 
-// TestScheduleCallZeroAllocSteadyState is the allocation gate for the
-// tentpole: once the arena is warm, scheduling and firing pre-bound
-// callbacks allocates nothing.
+// TestScheduleCallZeroAllocSteadyState is the kernel's allocation gate:
+// once the arena is warm, scheduling and firing pre-bound callbacks
+// allocates nothing, and neither does rescheduling a Func built once.
 func TestScheduleCallZeroAllocSteadyState(t *testing.T) {
 	l := NewLoop()
 	cb := &countCall{}
+	fn := Func(func() { cb.n++ }) // capturing: the closure is built here, once
 	// Warm the arena and the heap/free slices well past the test's
 	// working set.
 	var warm []Timer
 	for i := 0; i < 64; i++ {
-		warm = append(warm, l.ScheduleCall(time.Duration(i)*time.Microsecond, cb))
+		warm = append(warm, l.Schedule(time.Duration(i)*time.Microsecond, cb))
 	}
 	for _, tm := range warm {
 		tm.Stop()
@@ -289,13 +290,17 @@ func TestScheduleCallZeroAllocSteadyState(t *testing.T) {
 	}
 
 	allocs := testing.AllocsPerRun(1000, func() {
-		l.ScheduleCall(time.Microsecond, cb)
+		l.Schedule(time.Microsecond, cb)
+		l.Schedule(time.Microsecond, fn)
 		if err := l.Run(); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state ScheduleCall+Run allocates %.1f objects per event, want 0", allocs)
+		t.Fatalf("steady-state Schedule+Run allocates %.1f objects per round, want 0", allocs)
+	}
+	if cb.n != 2002 {
+		t.Fatalf("callbacks ran %d times, want 2002", cb.n)
 	}
 }
 
@@ -304,29 +309,29 @@ func TestScheduleCallZeroAllocSteadyState(t *testing.T) {
 func TestTimerResetZeroAlloc(t *testing.T) {
 	l := NewLoop()
 	cb := &countCall{}
-	tm := l.ScheduleCall(time.Second, cb)
+	tm := l.Schedule(time.Second, cb)
 	allocs := testing.AllocsPerRun(1000, func() {
 		tm.Stop()
-		tm = l.ScheduleCall(time.Second, cb)
+		tm = l.Schedule(time.Second, cb)
 	})
 	if allocs != 0 {
 		t.Fatalf("timer reset allocates %.1f objects, want 0", allocs)
 	}
 }
 
-// TestScheduleFuncZeroAllocNonCapturing: even the classic func() form is
-// allocation-free for non-capturing closures (the compiler makes them
-// static); only capturing closures pay.
+// TestScheduleFuncZeroAllocNonCapturing: a Func wrapping a non-capturing
+// closure literal is allocation-free even when built per event (the
+// compiler makes the closure static); only capturing closures pay.
 func TestScheduleFuncZeroAllocNonCapturing(t *testing.T) {
 	l := NewLoop()
 	for i := 0; i < 8; i++ {
-		l.Schedule(time.Microsecond, func() {})
+		l.Schedule(time.Microsecond, Func(func() {}))
 	}
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		l.Schedule(time.Microsecond, func() {})
+		l.Schedule(time.Microsecond, Func(func() {}))
 		if err := l.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -8,12 +8,14 @@
 // byte-for-byte. Harness code that wants parallelism runs one Loop per
 // scenario in separate goroutines.
 //
-// The scheduling path is allocation-free in steady state: event nodes live
-// in a pooled arena recycled through a free list, the pending queue is a
-// concrete 4-ary index heap (no container/heap interface boxing), and the
-// Callback interface lets hot callers schedule pre-bound callback structs
-// instead of capturing closures. Timer handles are values carrying a
-// generation counter, so a stale handle to a recycled node is a safe no-op.
+// Every event is a Callback, scheduled with Loop.Schedule or Loop.At. The
+// scheduling path is allocation-free in steady state: event nodes live in
+// a pooled arena recycled through a free list, the pending queue is a
+// concrete 4-ary index heap (no container/heap interface boxing), and hot
+// callers schedule pre-bound callback structs instead of capturing
+// closures; Func adapts a plain function for code off the hot path. Timer
+// handles are values carrying a generation counter, so a stale handle to a
+// recycled node is a safe no-op.
 package sim
 
 import (
@@ -56,13 +58,19 @@ func (t Time) String() string {
 	return time.Duration(t).String()
 }
 
-// Callback is the allocation-free alternative to a func() event: model
-// code embeds a small struct pre-bound to its receiver and passes a
-// pointer to it, so scheduling boxes no closure and allocates nothing.
-// Run is invoked with the loop's current virtual time.
+// Callback is a scheduled event. Hot model code embeds a small struct
+// pre-bound to its receiver and passes a pointer to it, so scheduling
+// boxes no closure and allocates nothing. Run is invoked with the loop's
+// current virtual time.
 type Callback interface {
 	Run(now Time)
 }
+
+// Func adapts a plain function to Callback.
+type Func func()
+
+// Run calls f.
+func (f Func) Run(Time) { f() }
 
 // node is one pooled event. Nodes compare by (at, seq) so that events
 // scheduled earlier at the same instant run first, which makes runs
@@ -73,7 +81,6 @@ type Callback interface {
 type node struct {
 	at  Time
 	seq uint64
-	fn  func()
 	cb  Callback
 	gen uint32
 }
@@ -250,7 +257,7 @@ var ErrEventLimit = errors.New("sim: event limit exceeded")
 // Growth only happens while the simulation is still widening its event
 // horizon; once the arena matches the peak number of concurrently pending
 // events, scheduling never allocates again.
-func (l *Loop) alloc(at Time, fn func(), cb Callback) int32 {
+func (l *Loop) alloc(at Time, cb Callback) int32 {
 	var id int32
 	if n := len(l.free); n > 0 {
 		id = l.free[n-1]
@@ -268,7 +275,6 @@ func (l *Loop) alloc(at Time, fn func(), cb Callback) int32 {
 	nd := &l.nodes[id]
 	nd.at = at
 	nd.seq = l.seq
-	nd.fn = fn
 	nd.cb = cb
 	l.seq++
 	if used := len(l.nodes) - len(l.free); used > l.inUsePeak {
@@ -278,12 +284,11 @@ func (l *Loop) alloc(at Time, fn func(), cb Callback) int32 {
 }
 
 // release recycles a node: the generation bump invalidates every handle to
-// the old occupant (and stales its heap entry), and clearing the callbacks
-// drops their references.
+// the old occupant (and stales its heap entry), and clearing the callback
+// drops its reference.
 func (l *Loop) release(id int32) {
 	nd := &l.nodes[id]
 	nd.gen++
-	nd.fn = nil
 	nd.cb = nil
 	// Invalidate the seq so the node's heap entry reads as stale while the
 	// node sits in the free list (alloc assigns the real seq on reuse);
@@ -469,47 +474,26 @@ func (l *Loop) down(pos int) {
 	l.heap[pos] = e
 }
 
-// Schedule runs fn after delay d of virtual time. A non-positive delay runs
-// fn as soon as the loop regains control, still in deterministic order.
-func (l *Loop) Schedule(d time.Duration, fn func()) Timer {
+// Schedule runs cb.Run after delay d of virtual time. A non-positive delay
+// runs cb as soon as the loop regains control, still in deterministic
+// order.
+func (l *Loop) Schedule(d time.Duration, cb Callback) Timer {
 	if d < 0 {
 		d = 0
 	}
-	return l.At(l.now.Add(d), fn)
+	return l.At(l.now.Add(d), cb)
 }
 
-// At runs fn at absolute virtual time t. Times in the past are clamped to
-// the current instant.
-func (l *Loop) At(t Time, fn func()) Timer {
-	if fn == nil {
+// At runs cb.Run at absolute virtual time t. Times in the past are clamped
+// to the current instant.
+func (l *Loop) At(t Time, cb Callback) Timer {
+	if cb == nil {
 		panic("sim: At called with nil callback")
 	}
-	return l.schedule(t, fn, nil)
-}
-
-// ScheduleCall runs cb.Run after delay d of virtual time. Unlike Schedule
-// it takes a pre-bound Callback, so a caller that embeds its callback
-// struct allocates nothing per event.
-func (l *Loop) ScheduleCall(d time.Duration, cb Callback) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return l.AtCall(l.now.Add(d), cb)
-}
-
-// AtCall runs cb.Run at absolute virtual time t, clamped like At.
-func (l *Loop) AtCall(t Time, cb Callback) Timer {
-	if cb == nil {
-		panic("sim: AtCall called with nil callback")
-	}
-	return l.schedule(t, nil, cb)
-}
-
-func (l *Loop) schedule(t Time, fn func(), cb Callback) Timer {
 	if t < l.now {
 		t = l.now
 	}
-	id := l.alloc(t, fn, cb)
+	id := l.alloc(t, cb)
 	nd := &l.nodes[id]
 	l.pending++
 	l.push(mkEntry(t, nd.seq, id))
@@ -572,20 +556,15 @@ func (l *Loop) RunUntil(deadline Time) error {
 		for i, e := range l.batch {
 			if e.stale(l) {
 				// Stopped by an earlier member of this batch.
-				l.dead--
+				l.dropDead()
 				continue
 			}
-			nd := &l.nodes[e.id()]
-			fn, cb := nd.fn, nd.cb
+			cb := l.nodes[e.id()].cb
 			// Recycle before running: a Stop on this event's own handle from
 			// inside the callback (or any later turn) sees a stale generation
 			// and no-ops, even if the node is immediately reused.
 			l.release(e.id())
-			if cb != nil {
-				cb.Run(l.now)
-			} else {
-				fn()
-			}
+			cb.Run(l.now)
 			l.processed++
 			if l.limit > 0 && l.processed >= l.limit {
 				l.requeueBatch(i + 1)

@@ -10,9 +10,9 @@ import (
 func TestLoopRunsEventsInTimeOrder(t *testing.T) {
 	l := NewLoop()
 	var got []int
-	l.Schedule(30*time.Millisecond, func() { got = append(got, 3) })
-	l.Schedule(10*time.Millisecond, func() { got = append(got, 1) })
-	l.Schedule(20*time.Millisecond, func() { got = append(got, 2) })
+	l.Schedule(30*time.Millisecond, Func(func() { got = append(got, 3) }))
+	l.Schedule(10*time.Millisecond, Func(func() { got = append(got, 1) }))
+	l.Schedule(20*time.Millisecond, Func(func() { got = append(got, 2) }))
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestLoopTieBreaksByScheduleOrder(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		l.Schedule(5*time.Millisecond, func() { got = append(got, i) })
+		l.Schedule(5*time.Millisecond, Func(func() { got = append(got, i) }))
 	}
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
@@ -47,12 +47,12 @@ func TestLoopTieBreaksByScheduleOrder(t *testing.T) {
 func TestScheduleInsideEvent(t *testing.T) {
 	l := NewLoop()
 	var fired []Time
-	l.Schedule(time.Millisecond, func() {
+	l.Schedule(time.Millisecond, Func(func() {
 		fired = append(fired, l.Now())
-		l.Schedule(2*time.Millisecond, func() {
+		l.Schedule(2*time.Millisecond, Func(func() {
 			fired = append(fired, l.Now())
-		})
-	})
+		}))
+	}))
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestScheduleInsideEvent(t *testing.T) {
 func TestTimerStop(t *testing.T) {
 	l := NewLoop()
 	ran := false
-	tm := l.Schedule(time.Millisecond, func() { ran = true })
+	tm := l.Schedule(time.Millisecond, Func(func() { ran = true }))
 	if !tm.Pending() {
 		t.Fatal("timer should be pending")
 	}
@@ -84,7 +84,7 @@ func TestTimerStop(t *testing.T) {
 
 func TestTimerStopAfterFire(t *testing.T) {
 	l := NewLoop()
-	tm := l.Schedule(time.Millisecond, func() {})
+	tm := l.Schedule(time.Millisecond, Func(func() {}))
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestStopInterleavedWithHeap(t *testing.T) {
 	var timers []Timer
 	for i := 0; i < 5; i++ {
 		i := i
-		timers = append(timers, l.Schedule(time.Duration(i+1)*time.Millisecond, func() { got = append(got, i) }))
+		timers = append(timers, l.Schedule(time.Duration(i+1)*time.Millisecond, Func(func() { got = append(got, i) })))
 	}
 	timers[2].Stop()
 	if err := l.Run(); err != nil {
@@ -123,7 +123,7 @@ func TestStopInterleavedWithHeap(t *testing.T) {
 func TestRunUntilAdvancesClock(t *testing.T) {
 	l := NewLoop()
 	ran := false
-	l.Schedule(100*time.Millisecond, func() { ran = true })
+	l.Schedule(100*time.Millisecond, Func(func() { ran = true }))
 	if err := l.RunUntil(Time(50 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
@@ -161,12 +161,12 @@ func TestLoopStop(t *testing.T) {
 	l := NewLoop()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		l.Schedule(time.Duration(i)*time.Millisecond, func() {
+		l.Schedule(time.Duration(i)*time.Millisecond, Func(func() {
 			count++
 			if count == 3 {
 				l.Stop()
 			}
-		})
+		}))
 	}
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
@@ -180,8 +180,8 @@ func TestEventLimit(t *testing.T) {
 	l := NewLoop()
 	l.SetEventLimit(5)
 	var tick func()
-	tick = func() { l.Schedule(time.Millisecond, tick) }
-	l.Schedule(0, tick)
+	tick = func() { l.Schedule(time.Millisecond, Func(tick)) }
+	l.Schedule(0, Func(tick))
 	err := l.Run()
 	if err == nil {
 		t.Fatal("expected event-limit error")
@@ -190,13 +190,13 @@ func TestEventLimit(t *testing.T) {
 
 func TestPastScheduleClamps(t *testing.T) {
 	l := NewLoop()
-	l.Schedule(10*time.Millisecond, func() {
-		l.At(Time(1*time.Millisecond), func() {
+	l.Schedule(10*time.Millisecond, Func(func() {
+		l.At(Time(1*time.Millisecond), Func(func() {
 			if l.Now() != Time(10*time.Millisecond) {
 				t.Errorf("past event ran at %v, want clamped to 10ms", l.Now())
 			}
-		})
-	})
+		}))
+	}))
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestDeterminism(t *testing.T) {
 		var got []int
 		for i := 0; i < 200; i++ {
 			i := i
-			l.Schedule(time.Duration(rng.Intn(50))*time.Millisecond, func() { got = append(got, i) })
+			l.Schedule(time.Duration(rng.Intn(50))*time.Millisecond, Func(func() { got = append(got, i) }))
 		}
 		if err := l.Run(); err != nil {
 			t.Fatal(err)
@@ -248,9 +248,9 @@ func TestQuickEventOrdering(t *testing.T) {
 		l := NewLoop()
 		var times []Time
 		for _, d := range delays {
-			l.Schedule(time.Duration(d)*time.Microsecond, func() {
+			l.Schedule(time.Duration(d)*time.Microsecond, Func(func() {
 				times = append(times, l.Now())
-			})
+			}))
 		}
 		if err := l.Run(); err != nil {
 			return false
@@ -327,7 +327,7 @@ func TestRandBool(t *testing.T) {
 
 func TestRunUntilBeforeAnyEvent(t *testing.T) {
 	l := NewLoop()
-	l.Schedule(time.Hour, func() { t.Fatal("should not run") })
+	l.Schedule(time.Hour, Func(func() { t.Fatal("should not run") }))
 	if err := l.RunUntil(Time(time.Minute)); err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestRunUntilBeforeAnyEvent(t *testing.T) {
 func TestProcessedCounter(t *testing.T) {
 	l := NewLoop()
 	for i := 0; i < 5; i++ {
-		l.Schedule(time.Duration(i)*time.Millisecond, func() {})
+		l.Schedule(time.Duration(i)*time.Millisecond, Func(func() {}))
 	}
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
@@ -355,8 +355,8 @@ func TestProcessedCounter(t *testing.T) {
 func TestStopThenResume(t *testing.T) {
 	l := NewLoop()
 	ran := 0
-	l.Schedule(time.Millisecond, func() { ran++; l.Stop() })
-	l.Schedule(2*time.Millisecond, func() { ran++ })
+	l.Schedule(time.Millisecond, Func(func() { ran++; l.Stop() }))
+	l.Schedule(2*time.Millisecond, Func(func() { ran++ }))
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
 	}

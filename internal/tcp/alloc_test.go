@@ -28,10 +28,10 @@ func TestArmRTOZeroAlloc(t *testing.T) {
 	c.stopRTO()
 
 	// The delayed-ACK arm is the same pattern on the receive side.
-	c.delAckTimer = c.loop.ScheduleCall(time.Second, &c.delAckCall)
+	c.delAckTimer = c.loop.Schedule(time.Second, &c.delAckCall)
 	allocs = testing.AllocsPerRun(1000, func() {
 		c.delAckTimer.Stop()
-		c.delAckTimer = c.loop.ScheduleCall(time.Second, &c.delAckCall)
+		c.delAckTimer = c.loop.Schedule(time.Second, &c.delAckCall)
 	})
 	if allocs != 0 {
 		t.Fatalf("delayed-ACK re-arm allocates %.1f objects, want 0", allocs)

@@ -50,7 +50,7 @@ func (c *Conn) processData(pkt *packet.Packet) {
 		} else if c.ackPending >= c.cfg.DelAckCount {
 			c.sendPureAck()
 		} else if !c.delAckTimer.Pending() {
-			c.delAckTimer = c.loop.ScheduleCall(c.cfg.DelAckTimeout, &c.delAckCall)
+			c.delAckTimer = c.loop.Schedule(c.cfg.DelAckTimeout, &c.delAckCall)
 		}
 	}
 }

@@ -180,9 +180,9 @@ func TestNoSACKTransferCompletes(t *testing.T) {
 				done = g.loop.Now()
 				return
 			}
-			g.loop.Schedule(10*time.Millisecond, watch)
+			g.loop.Schedule(10*time.Millisecond, sim.Func(watch))
 		}
-		g.loop.Schedule(0, watch)
+		g.loop.Schedule(0, sim.Func(watch))
 		if err := g.loop.RunFor(120 * time.Second); err != nil {
 			t.Fatal(err)
 		}

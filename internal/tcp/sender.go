@@ -450,7 +450,7 @@ func (c *Conn) retransmitFront() {
 // the pre-bound callback struct is scheduled on a pooled event node.
 func (c *Conn) armRTO(d time.Duration) {
 	c.rtoTimer.Stop()
-	c.rtoTimer = c.loop.ScheduleCall(d, &c.rtoCall)
+	c.rtoTimer = c.loop.Schedule(d, &c.rtoCall)
 }
 
 func (c *Conn) stopRTO() {

@@ -312,9 +312,9 @@ func TestReceiverWindowLimitsFlight(t *testing.T) {
 		if f := conn.BytesInFlight(); f > maxFlight {
 			maxFlight = f
 		}
-		tn.loop.Schedule(time.Millisecond, probe)
+		tn.loop.Schedule(time.Millisecond, sim.Func(probe))
 	}
-	tn.loop.Schedule(0, probe)
+	tn.loop.Schedule(0, sim.Func(probe))
 	if err := tn.loop.RunFor(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +480,7 @@ func TestQuickExactDeliveryUnderLoss(t *testing.T) {
 func TestCloseStopsConnection(t *testing.T) {
 	tn := newTestNet(t, 10*unit.Mbps, 5*time.Millisecond, 0)
 	conn, _ := tn.startBulk(t, BulkSource{}, nil)
-	tn.loop.Schedule(time.Second, func() { conn.Close() })
+	tn.loop.Schedule(time.Second, sim.Func(func() { conn.Close() }))
 	if err := tn.loop.RunFor(1100 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func (o *OnOff) schedule() {
 	} else {
 		d = o.rng.Exp(o.OffMean)
 	}
-	o.loop.ScheduleCall(d, &o.flip)
+	o.loop.Schedule(d, &o.flip)
 }
 
 // onOffFlip is the pre-bound period-boundary callback, so the endless
@@ -161,5 +161,5 @@ func (c *CBR) tick() {
 	p.PayloadLen = c.payload
 	c.net.Node(c.node).Send(p)
 	c.Sent++
-	c.net.Loop.ScheduleCall(c.period, &c.tickCall)
+	c.net.Loop.Schedule(c.period, &c.tickCall)
 }

@@ -57,9 +57,9 @@ func TestOnOffAlternates(t *testing.T) {
 		} else {
 			offTime++
 		}
-		loop.Schedule(time.Millisecond, probe)
+		loop.Schedule(time.Millisecond, sim.Func(probe))
 	}
-	loop.Schedule(0, probe)
+	loop.Schedule(0, sim.Func(probe))
 	if err := loop.RunUntil(sim.Time(3 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestCBRRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	cbr := NewCBR(n, a, dst, 1, 10, 1000-packet.IPv4HeaderLen-packet.UDPHeaderLen)
-	loop.Schedule(0, func() { cbr.Start() })
+	loop.Schedule(0, sim.Func(func() { cbr.Start() }))
 	if err := loop.RunUntil(sim.Time(2 * time.Second)); err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,6 +13,7 @@ import (
 
 	"mptcpsim/internal/cc"
 	"mptcpsim/internal/mptcp"
+	"mptcpsim/internal/par"
 	"mptcpsim/internal/stats"
 	"mptcpsim/internal/telemetry"
 )
@@ -786,50 +786,27 @@ func (s *Sweep) Describe(g *Grid) (digest string, total int, err error) {
 // error stops further deliveries (remaining runs still execute; their
 // results are void) and is returned.
 func (s *Sweep) execute(specs []RunSpec, sink RunSink) error {
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-
 	var (
 		mu      sync.Mutex
 		done    int
 		sinkErr error
-		wg      sync.WaitGroup
 	)
-	jobs := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				spec := specs[i]
-				if s.ValidateInvariants {
-					spec.Options.ValidateInvariants = true
-				}
-				if s.Telemetry {
-					spec.Options.Telemetry = true
-				}
-				summary, full := runSpec(spec)
-				mu.Lock()
-				done++
-				if sinkErr == nil {
-					if err := sink.Accept(done, len(specs), summary, full); err != nil {
-						sinkErr = err
-					}
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for i := range specs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	par.Each(len(specs), s.Workers, func(i int) {
+		spec := specs[i]
+		if s.ValidateInvariants {
+			spec.Options.ValidateInvariants = true
+		}
+		if s.Telemetry {
+			spec.Options.Telemetry = true
+		}
+		summary, full := runSpec(spec)
+		mu.Lock()
+		defer mu.Unlock()
+		done++
+		if sinkErr == nil {
+			sinkErr = sink.Accept(done, len(specs), summary, full)
+		}
+	})
 	return sinkErr
 }
 
