@@ -1,9 +1,9 @@
 package mptcpsim
 
-// One benchmark per table/figure of the paper, plus the ablations from
-// DESIGN.md. Experiment benchmarks run the full packet-level simulation
-// per iteration (seed = iteration index) and report the reproduction's
-// headline numbers as custom metrics:
+// One benchmark per table/figure of the paper, plus the ablations listed
+// in README's "Reproducing the paper's figures". Experiment benchmarks run
+// the full packet-level simulation per iteration (seed = iteration index)
+// and report the reproduction's headline numbers as custom metrics:
 //
 //	mbps      mean total throughput over the run
 //	gap%      optimality gap versus the LP total (90 Mbps)
@@ -223,62 +223,4 @@ func BenchmarkFairnessSharedBottleneck(b *testing.B) {
 			b.ReportMetric(ratio/float64(b.N), "mptcp/tcp")
 		})
 	}
-}
-
-// BenchmarkSweep measures the batch engine end to end: a 12-run grid
-// (2 CCs x 2 orderings x 3 seeds) of 1 s experiments per iteration,
-// reporting aggregate sweep throughput. This is the go-test twin of
-// cmd/benchsweep, which CI runs to emit BENCH_sweep.json.
-func BenchmarkSweep(b *testing.B) {
-	grid := &Grid{
-		CCs:        []string{"cubic", "olia"},
-		Orders:     [][]int{{2, 1, 3}, {1, 2, 3}},
-		Seeds:      []int64{1, 2, 3},
-		DurationMs: 1000,
-	}
-	b.ReportAllocs()
-	var runs int
-	for i := 0; i < b.N; i++ {
-		res, err := (&Sweep{}).Run(grid)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Errs() > 0 {
-			b.Fatalf("%d sweep runs failed", res.Errs())
-		}
-		runs += len(res.Runs)
-	}
-	b.ReportMetric(float64(runs)/b.Elapsed().Seconds(), "runs/s")
-}
-
-// BenchmarkSweepDynamic is the same grid with a LinkDown/LinkUp event
-// timeline on every cell: the piecewise-LP machinery (per-epoch cached
-// solves, epoch summaries) rides on every run, so a regression in the
-// dynamics path shows up here first.
-func BenchmarkSweepDynamic(b *testing.B) {
-	grid := &Grid{
-		CCs:        []string{"cubic", "olia"},
-		Orders:     [][]int{{2, 1, 3}, {1, 2, 3}},
-		Seeds:      []int64{1, 2, 3},
-		DurationMs: 1000,
-		Events: []EventSet{
-			{Name: "outage", Events: []ScenarioEvent{
-				{AtMs: 400, Type: EventLinkDown, A: "s", B: "v1"},
-				{AtMs: 700, Type: EventLinkUp, A: "s", B: "v1"},
-			}},
-		},
-	}
-	b.ReportAllocs()
-	var runs int
-	for i := 0; i < b.N; i++ {
-		res, err := (&Sweep{}).Run(grid)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Errs() > 0 {
-			b.Fatalf("%d sweep runs failed", res.Errs())
-		}
-		runs += len(res.Runs)
-	}
-	b.ReportMetric(float64(runs)/b.Elapsed().Seconds(), "runs/s")
 }

@@ -784,7 +784,9 @@ func (s *Sweep) Describe(g *Grid) (digest string, total int, err error) {
 // Completions are delivered under one lock: Accept calls never overlap,
 // done is monotone, and each run is delivered exactly once. The first sink
 // error stops further deliveries (remaining runs still execute; their
-// results are void) and is returned.
+// results are void) and is returned. The specs come from expandFolded,
+// which already carries the oracle flag; telemetry is folded in only here,
+// so the digest Describe computes stays telemetry-free.
 func (s *Sweep) execute(specs []RunSpec, sink RunSink) error {
 	var (
 		mu      sync.Mutex
@@ -793,9 +795,6 @@ func (s *Sweep) execute(specs []RunSpec, sink RunSink) error {
 	)
 	par.Each(len(specs), s.Workers, func(i int) {
 		spec := specs[i]
-		if s.ValidateInvariants {
-			spec.Options.ValidateInvariants = true
-		}
 		if s.Telemetry {
 			spec.Options.Telemetry = true
 		}
